@@ -1,101 +1,10 @@
 #include "check/oracle.hh"
 
-#include <algorithm>
-
 #include "arch/arch.hh"
-#include "common/log.hh"
 #include "cpu/cpu.hh"
-#include "mem/port.hh"
 
 namespace nvmr
 {
-
-namespace
-{
-
-/** Flat, energy-free memory for the reference interpretation. */
-class OraclePort : public DataPort
-{
-  public:
-    explicit OraclePort(uint32_t size_bytes) : mem(size_bytes, 0) {}
-
-    void
-    loadImage(const std::vector<uint8_t> &image)
-    {
-        panic_if(image.size() > mem.size(), "oracle image too large");
-        std::copy(image.begin(), image.end(), mem.begin());
-    }
-
-    Word
-    loadWord(Addr addr) override
-    {
-        check(addr, kWordBytes);
-        Word w = 0;
-        for (unsigned i = 0; i < kWordBytes; ++i)
-            w |= static_cast<Word>(mem[addr + i]) << (8 * i);
-        return w;
-    }
-
-    void
-    storeWord(Addr addr, Word value) override
-    {
-        check(addr, kWordBytes);
-        for (unsigned i = 0; i < kWordBytes; ++i)
-            mem[addr + i] = static_cast<uint8_t>(value >> (8 * i));
-    }
-
-    uint8_t
-    loadByte(Addr addr) override
-    {
-        check(addr, 1);
-        return mem[addr];
-    }
-
-    void
-    storeByte(Addr addr, uint8_t value) override
-    {
-        check(addr, 1);
-        mem[addr] = value;
-    }
-
-    std::vector<uint8_t> takeBytes() { return std::move(mem); }
-
-  private:
-    std::vector<uint8_t> mem;
-
-    void
-    check(Addr addr, uint32_t n) const
-    {
-        panic_if(addr + n > mem.size(),
-                 "oracle access out of range: ", addr);
-    }
-};
-
-} // namespace
-
-OracleResult
-runOracle(const Program &prog, uint64_t max_instructions)
-{
-    // Same memory sizing rule as the intermittent runs: generous
-    // scratch above the static data, so the two sides execute over
-    // identical address spaces.
-    uint32_t size = std::max<uint32_t>(prog.dataSize() + 4096, 65536);
-    OraclePort port(size);
-    port.loadImage(prog.data);
-    Cpu cpu(prog, port);
-
-    OracleResult result;
-    while (!cpu.halted() && result.instructions < max_instructions) {
-        cpu.step();
-        ++result.instructions;
-    }
-    result.halted = cpu.halted();
-    for (unsigned i = 0; i < kNumRegs; ++i)
-        result.regs[i] = cpu.reg(i);
-    result.pc = cpu.pc();
-    result.data = port.takeBytes();
-    return result;
-}
 
 StateDiff
 diffFinalState(const IntermittentArch &arch, const Program &prog,

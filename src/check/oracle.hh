@@ -12,13 +12,12 @@
 #ifndef NVMR_CHECK_ORACLE_HH
 #define NVMR_CHECK_ORACLE_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
-#include "isa/isa.hh"
 #include "isa/program.hh"
+#include "sim/simulator.hh"
 
 namespace nvmr
 {
@@ -26,23 +25,21 @@ namespace nvmr
 class IntermittentArch;
 class Cpu;
 
-/** Reference final state of one program. */
-struct OracleResult
-{
-    std::vector<uint8_t> data;         ///< flat memory image
-    std::array<Word, kNumRegs> regs{}; ///< final register file
-    uint32_t pc = 0;                   ///< final program counter
-    uint64_t instructions = 0;
-    bool halted = false;
-};
+/** Reference final state of one program: the golden run's result
+ *  (sim/simulator.hh). */
+using OracleResult = GoldenResult;
 
 /**
  * Execute the program to completion on the reference interpreter.
  * Deterministic, no caches, no power failures; `max_instructions`
- * bounds runaway programs (halted stays false when it trips).
+ * bounds runaway programs (halted stays false when it trips). The
+ * same interpreter as runContinuous(), under the checker's name.
  */
-OracleResult runOracle(const Program &prog,
-                       uint64_t max_instructions = 200000000ull);
+inline OracleResult
+runOracle(const Program &prog, uint64_t max_instructions = 200000000ull)
+{
+    return runContinuous(prog, max_instructions);
+}
 
 /** One diverging word. */
 struct WordDiff

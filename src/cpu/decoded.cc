@@ -132,19 +132,7 @@ predecode(const Program &prog)
 std::shared_ptr<const DecodedProgram>
 decodedProgram(const Program &prog)
 {
-    auto image = prog._decoded.load(std::memory_order_acquire);
-    if (image)
-        return image;
-
-    auto fresh =
-        std::make_shared<const DecodedProgram>(predecode(prog));
-    // First installer wins so concurrent simulations share one image.
-    std::shared_ptr<const DecodedProgram> expected;
-    if (prog._decoded.compare_exchange_strong(
-            expected, fresh, std::memory_order_acq_rel,
-            std::memory_order_acquire))
-        return fresh;
-    return expected;
+    return prog.fillOnce(prog._decoded, [&] { return predecode(prog); });
 }
 
 } // namespace nvmr

@@ -14,8 +14,8 @@
  * engine uses the metadata to execute such runs as one fused step
  * whose energy/cycle accounting is bit-identical to the interpreter.
  *
- * Decoded images are immutable and shared: each Program owns an
- * atomically-installed slot (Program::_decoded), so concurrent
+ * Decoded images are immutable and shared: each Program owns a
+ * lock-guarded, install-once slot (Program::_decoded), so concurrent
  * simulations of the same image -- parallel campaign cells, the warm
  * nvmr_serve ProgramCache -- decode once and share the result.
  */
@@ -100,13 +100,15 @@ struct DecodedProgram
     std::vector<DecodedOp> ops;
 
     uint32_t size() const { return static_cast<uint32_t>(ops.size()); }
-
-    /** Approximate resident bytes (serve backpressure accounting). */
-    uint64_t residentBytes() const
-    {
-        return ops.capacity() * sizeof(DecodedOp);
-    }
 };
+
+/** Bytes of the image predecode() builds for `prog`, known before it
+ *  exists (serve backpressure accounting). */
+inline uint64_t
+decodedImageBytes(const Program &prog)
+{
+    return prog.text.size() * sizeof(DecodedOp);
+}
 
 /** Lower a program's text section (pure function of prog.text).
  *  Panics on malformed register fields, which the assembler and

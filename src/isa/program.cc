@@ -9,7 +9,7 @@ Program::Program(const Program &other)
     : name(other.name), text(other.text), data(other.data),
       labels(other.labels), entry(other.entry)
 {
-    // _decoded deliberately left empty: the copy may diverge.
+    // Cache slots deliberately left empty: the copy may diverge.
 }
 
 Program &

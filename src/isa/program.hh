@@ -7,10 +7,10 @@
 #ifndef NVMR_ISA_PROGRAM_HH
 #define NVMR_ISA_PROGRAM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,7 @@ namespace nvmr
 {
 
 struct DecodedProgram; // cpu/decoded.hh
+struct GoldenResult;   // sim/simulator.hh
 
 /**
  * An assembled program. The data image is loaded into the application
@@ -32,9 +33,10 @@ class Program
   public:
     Program() = default;
 
-    /** Copies and moves carry the sections but never the decoded-op
-     *  cache slot: a copy may be mutated afterwards (the ddmin
-     *  shrinker), so it re-decodes on first threaded execution. */
+    /** Copies and moves carry the sections but never the cache slots
+     *  (decoded-op image, golden run): a copy may be mutated
+     *  afterwards (the ddmin shrinker), so it re-decodes and re-runs
+     *  its golden execution on first use. */
     Program(const Program &other);
     Program &operator=(const Program &other);
     Program(Program &&other) noexcept;
@@ -64,22 +66,52 @@ class Program
     /** Read an initial data word (little-endian); for tests. */
     Word initialWord(Addr addr) const;
 
-    /** Drop the cached decoded-op image. Must be called after any
-     *  in-place mutation of `text` once the program has executed on
-     *  the threaded engine (cpu/decoded.hh). */
+    /** Drop the cached decoded-op image and golden run. Must be
+     *  called after any in-place mutation of `text` or `data` once
+     *  the program has executed (cpu/decoded.hh, sim/simulator.hh). */
     void invalidateDecoded() const
     {
-        _decoded.store(nullptr, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(cacheMutex);
+        _decoded.reset();
+        _golden.reset();
     }
 
   private:
-    /** Lazily-installed decoded-op image, shared by every simulation
-     *  of this Program (populated by nvmr::decodedProgram). */
+    /** Lazily-installed caches, shared by every simulation of this
+     *  Program (populated by nvmr::decodedProgram and
+     *  nvmr::goldenRun). */
     friend std::shared_ptr<const DecodedProgram>
     decodedProgram(const Program &prog);
+    friend std::shared_ptr<const GoldenResult>
+    goldenRun(const Program &prog);
 
-    mutable std::atomic<std::shared_ptr<const DecodedProgram>>
-        _decoded{};
+    /** Return `slot`, filling it with make() on first use. make() runs
+     *  unlocked; when threads race, the first to install wins and
+     *  every caller returns its value. */
+    template <typename T, typename Make>
+    std::shared_ptr<const T>
+    fillOnce(std::shared_ptr<const T> &slot, Make make) const
+    {
+        {
+            std::lock_guard<std::mutex> lock(cacheMutex);
+            if (slot)
+                return slot;
+        }
+        auto fresh = std::make_shared<const T>(make());
+        std::lock_guard<std::mutex> lock(cacheMutex);
+        if (!slot)
+            slot = std::move(fresh);
+        return slot;
+    }
+
+    /** Guards both slots. A lock rather than
+     *  std::atomic<std::shared_ptr>: libstdc++'s atomic shared_ptr
+     *  releases its internal lock in load() with a relaxed store, so
+     *  ThreadSanitizer reports a load racing the first install. Taken
+     *  once per run, never per instruction. */
+    mutable std::mutex cacheMutex;
+    mutable std::shared_ptr<const DecodedProgram> _decoded;
+    mutable std::shared_ptr<const GoldenResult> _golden;
 };
 
 } // namespace nvmr

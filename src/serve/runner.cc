@@ -12,6 +12,7 @@
 #include "common/exitcodes.hh"
 #include "common/fsutil.hh"
 #include "common/log.hh"
+#include "cpu/decoded.hh"
 #include "isa/assembler.hh"
 #include "obs/manifest.hh"
 #include "sim/experiment.hh"
@@ -405,8 +406,11 @@ ProgramCache::get(const std::string &workload)
     if (it != cache.end())
         return it->second;
     Program prog = assembleWorkload(workload);
+    // Count the images the Program caches once it runs, too: the
+    // decoded-op image (default threaded engine) and the golden run.
     bytes += prog.text.size() * sizeof(Instruction) +
-             prog.data.size() + workload.size();
+             prog.data.size() + workload.size() +
+             decodedImageBytes(prog) + goldenImageBytes(prog);
     return cache.emplace(workload, std::move(prog)).first->second;
 }
 

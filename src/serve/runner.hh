@@ -28,15 +28,18 @@
 namespace nvmr::serve
 {
 
-/** Process-wide decoded workload image set (assembled on demand,
- *  kept for the life of the service). */
+/** Process-wide workload image set (assembled on demand, kept for
+ *  the life of the service, with each Program's decoded-op image and
+ *  golden run cached on it). */
 class ProgramCache
 {
   public:
     /** Assemble-or-fetch. Call from the service thread only. */
     const Program &get(const std::string &workload);
 
-    /** Bytes of cached program text+image (backpressure metric). */
+    /** Bytes of cached program text+data plus the decoded-op and
+     *  golden images each program builds on first use
+     *  (backpressure metric). */
     uint64_t residentBytes() const { return bytes; }
 
   private:

@@ -64,7 +64,7 @@ struct ServeOptions
     /** Backpressure: admission defers (never drops) past these. */
     unsigned maxQueuedJobs = 16;
     uint64_t maxInflightCells = 0;           ///< 0 = no clamp
-    uint64_t maxResidentBytes = 256ull << 20; ///< decoded images +
+    uint64_t maxResidentBytes = 256ull << 20; ///< cached programs +
                                               ///  estimated job state
 
     /** Per-job heartbeat period; 0 disables job metrics files. */

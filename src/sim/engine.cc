@@ -51,16 +51,15 @@ namespace
 
 EngineKind gEngine = EngineKind::Default;
 
+/** NVMR_ENGINE, read on every resolution (once per run, never per
+ *  instruction) so a process can change it between runs. */
 EngineKind
 engineFromEnv()
 {
-    static const EngineKind cached = [] {
-        const char *env = std::getenv("NVMR_ENGINE");
-        if (!env || !*env)
-            return EngineKind::Default;
-        return parseEngineKind(env);
-    }();
-    return cached;
+    const char *env = std::getenv("NVMR_ENGINE");
+    if (!env || !*env)
+        return EngineKind::Default;
+    return parseEngineKind(env);
 }
 
 } // namespace
@@ -126,7 +125,7 @@ resolveEngine(EngineKind requested)
     EngineKind env = engineFromEnv();
     if (env != EngineKind::Default)
         return env;
-    return EngineKind::Interp;
+    return EngineKind::Threaded;
 }
 
 // ----------------------------------------------------------------------

@@ -7,7 +7,7 @@
  *
  *  - `interp`: the reference path -- Cpu::step()'s opcode switch,
  *    one virtual addCycles() and one policy call per instruction.
- *  - `threaded`: executes the shared predecoded op image
+ *  - `threaded` (the default): executes the shared predecoded op image
  *    (cpu/decoded.hh) with computed-goto dispatch, an inlined copy of
  *    the per-instruction accounting, a cached backup-policy threshold
  *    (PolicyFastPath), and superblock fusion of straight-line ALU
@@ -63,7 +63,9 @@ EngineKind globalEngine();
 /**
  * Resolve the engine a run should use: an explicit per-run request
  * wins, then the process-wide selection (--engine), then the
- * NVMR_ENGINE environment variable, then the interpreter.
+ * NVMR_ENGINE environment variable, then the threaded engine. The
+ * interpreter stays the reference the equivalence nets diff against;
+ * select it explicitly (`interp`) to bisect a suspected engine bug.
  */
 EngineKind resolveEngine(EngineKind requested);
 

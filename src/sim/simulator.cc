@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "arch/clank.hh"
 #include "arch/clank_original.hh"
 #include "arch/hoop.hh"
@@ -74,7 +76,7 @@ class DirectPort : public DataPort
         mem[addr] = value;
     }
 
-    const std::vector<uint8_t> &bytes() const { return mem; }
+    std::vector<uint8_t> takeBytes() { return std::move(mem); }
 
   private:
     std::vector<uint8_t> mem;
@@ -89,15 +91,16 @@ class DirectPort : public DataPort
 
 } // namespace
 
+uint32_t
+goldenImageBytes(const Program &prog)
+{
+    return std::max<uint32_t>(prog.dataSize() + 4096, 65536);
+}
+
 GoldenResult
 runContinuous(const Program &prog, uint64_t max_instructions)
 {
-    // Size the flat memory generously past the data segment so the
-    // program can use scratch space above its static data, matching
-    // the intermittent runs (which have the whole application region
-    // of NVM available).
-    uint32_t size = std::max<uint32_t>(prog.dataSize() + 4096, 65536);
-    DirectPort port(size);
+    DirectPort port(goldenImageBytes(prog));
     port.loadImage(prog.data);
     Cpu cpu(prog, port);
 
@@ -107,8 +110,18 @@ runContinuous(const Program &prog, uint64_t max_instructions)
         ++result.instructions;
     }
     result.halted = cpu.halted();
-    result.data = port.bytes();
+    for (unsigned i = 0; i < kNumRegs; ++i)
+        result.regs[i] = cpu.reg(i);
+    result.pc = cpu.pc();
+    result.data = port.takeBytes();
     return result;
+}
+
+std::shared_ptr<const GoldenResult>
+goldenRun(const Program &prog)
+{
+    return prog.fillOnce(prog._golden,
+                         [&] { return runContinuous(prog); });
 }
 
 std::unique_ptr<IntermittentArch>
@@ -649,9 +662,9 @@ Simulator::run()
     bool validated = false;
     bool checked = false;
     if (completed && opts.validate) {
-        GoldenResult golden = runContinuous(program);
-        panic_if(!golden.halted, "golden run did not halt");
-        validated = validateAgainstGolden(golden);
+        std::shared_ptr<const GoldenResult> golden = goldenRun(program);
+        panic_if(!golden->halted, "golden run did not halt");
+        validated = validateAgainstGolden(*golden);
         checked = true;
     }
     arch->syncFaultCounters(injector.stats());

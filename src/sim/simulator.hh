@@ -146,7 +146,7 @@ struct RunOptions
     /**
      * Which execution engine drives the main loop. Both engines
      * produce bit-identical results, so this is a host-side speed
-     * knob only; Default defers to --engine / NVMR_ENGINE / interp
+     * knob only; Default defers to --engine / NVMR_ENGINE / threaded
      * (see sim/engine.hh).
      */
     EngineKind engine = EngineKind::Default;
@@ -174,21 +174,44 @@ struct RunOptions
     const MachineSnapshot *resumeFrom = nullptr;
 };
 
-/** Result of a continuously-powered (golden) execution. */
+/**
+ * Result of a continuously-powered (golden) execution: the reference
+ * final state every intermittent run is diffed against (the
+ * differential checker calls it OracleResult, check/oracle.hh).
+ */
 struct GoldenResult
 {
-    std::vector<uint8_t> data; ///< final data-segment bytes
+    std::vector<uint8_t> data;         ///< final flat memory image
+    std::array<Word, kNumRegs> regs{}; ///< final register file
+    uint32_t pc = 0;                   ///< final program counter
     uint64_t instructions = 0;
     bool halted = false;
 };
 
+/** Bytes of flat memory a golden run executes over: the data segment
+ *  plus generous scratch, matching the application region the
+ *  intermittent runs see. */
+uint32_t goldenImageBytes(const Program &prog);
+
 /**
  * Run a program to completion on a continuously-powered core with a
- * flat memory (no cache, no energy accounting). Used as the
- * correctness oracle and by workload golden-model tests.
+ * flat memory (no cache, no energy accounting). The one golden
+ * interpreter: used as the correctness oracle and by workload
+ * golden-model tests. `max_instructions` bounds runaway programs
+ * (halted stays false when it trips). Always recomputes; see
+ * goldenRun() for the cached result.
  */
 GoldenResult runContinuous(const Program &prog,
                            uint64_t max_instructions = 200000000ull);
+
+/**
+ * The program's golden run (runContinuous with the default bound),
+ * computed on first use and shared by every later caller. Thread-safe;
+ * concurrent first calls may each compute it, but the first installer
+ * wins so all callers see one result. Copies, assignments and
+ * Program::invalidateDecoded() drop the cached run.
+ */
+std::shared_ptr<const GoldenResult> goldenRun(const Program &prog);
 
 /** Build an architecture instance. */
 std::unique_ptr<IntermittentArch> makeArch(ArchKind kind,

@@ -9,10 +9,12 @@
  * compared bit-for-bit) and the full traced event stream (binary
  * export bytes) must match exactly -- including runs replaying a
  * crash schedule, so injected fault points land on identical cycles.
+ * Also pins engine selection: threaded by default, interp on request.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -317,4 +319,34 @@ TEST(EngineEquiv, TwoHundredRandomPrograms)
                                " on " + archKindName(c.arch) + "/" +
                                policyKindName(c.policy));
     }
+}
+
+TEST(EngineSelection, ThreadedIsTheDefaultAndInterpStillWins)
+{
+    // The caller's NVMR_ENGINE and --engine selection are restored
+    // at the end.
+    const char *saved_env = std::getenv("NVMR_ENGINE");
+    std::string saved = saved_env ? saved_env : "";
+    EngineKind saved_global = globalEngine();
+
+    unsetenv("NVMR_ENGINE");
+    setGlobalEngine(EngineKind::Default);
+    EXPECT_EQ(resolveEngine(EngineKind::Default), EngineKind::Threaded);
+    EXPECT_EQ(resolveEngine(EngineKind::Interp), EngineKind::Interp);
+
+    // NVMR_ENGINE=interp selects the reference engine...
+    setenv("NVMR_ENGINE", "interp", 1);
+    EXPECT_EQ(resolveEngine(EngineKind::Default), EngineKind::Interp);
+    // ...and --engine (the global selection) outranks the variable.
+    setGlobalEngine(EngineKind::Threaded);
+    EXPECT_EQ(resolveEngine(EngineKind::Default), EngineKind::Threaded);
+    unsetenv("NVMR_ENGINE");
+    setGlobalEngine(EngineKind::Interp);
+    EXPECT_EQ(resolveEngine(EngineKind::Default), EngineKind::Interp);
+    // A per-run request outranks both.
+    EXPECT_EQ(resolveEngine(EngineKind::Threaded), EngineKind::Threaded);
+
+    setGlobalEngine(saved_global);
+    if (saved_env)
+        setenv("NVMR_ENGINE", saved.c_str(), 1);
 }

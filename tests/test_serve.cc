@@ -5,7 +5,8 @@
  * parsing, journal degraded-mode re-probe recovery, and the Service
  * itself run in-process over --once spools -- clean drains, resume
  * skipping, parse-error degraded mode, deadline quarantine,
- * admission backpressure, and drain-on-interrupt. Two fork/exec
+ * admission backpressure (and the ProgramCache resident-bytes count
+ * it uses), and drain-on-interrupt. Two fork/exec
  * tests drive the real nvmr_serve binary (NVMR_SERVE_BIN) through
  * the SIGTERM graceful-drain and second-signal force-exit paths.
  */
@@ -31,9 +32,13 @@
 #include "common/exitcodes.hh"
 #include "common/fsutil.hh"
 #include "common/log.hh"
+#include "cpu/decoded.hh"
 #include "obs/json.hh"
 #include "serve/job.hh"
+#include "serve/runner.hh"
 #include "serve/service.hh"
+#include "sim/simulator.hh"
+#include "workloads/workloads.hh"
 
 namespace nvmr
 {
@@ -368,6 +373,31 @@ TEST(Service, BackpressureDefersButDrainsEverything)
     EXPECT_EQ(doc.find("jobs")->numberAt("done"), 3)
         << "backpressure dropped a job instead of deferring it";
     EXPECT_GT(doc.numberAt("deferrals"), 0);
+
+    // The reported resident bytes cover what running `hist` leaves in
+    // the warm cache: its decoded-op image and its golden image.
+    Program hist = assembleWorkload("hist");
+    EXPECT_GE(doc.numberAt("resident_bytes"),
+              static_cast<double>(decodedImageBytes(hist) +
+                                  goldenImageBytes(hist)));
+}
+
+TEST(ProgramCache, ResidentBytesCountDecodedAndGoldenImages)
+{
+    serve::ProgramCache cache;
+    const Program &prog = cache.get("qsort");
+    uint64_t resident = cache.residentBytes();
+    EXPECT_EQ(&cache.get("qsort"), &prog); // cached: no re-count
+    EXPECT_EQ(cache.residentBytes(), resident);
+
+    // The images the program builds on first use fit the count.
+    auto decoded = decodedProgram(prog);
+    auto golden = goldenRun(prog);
+    uint64_t images = decoded->ops.size() * sizeof(DecodedOp) +
+                      golden->data.size();
+    EXPECT_EQ(golden->data.size(), goldenImageBytes(prog));
+    EXPECT_GE(resident, prog.text.size() * sizeof(Instruction) +
+                            prog.data.size() + images);
 }
 
 TEST(Service, PresetInterruptDrainsImmediately)

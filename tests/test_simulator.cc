@@ -1,13 +1,15 @@
 /**
  * @file
  * Integration tests for the intermittent simulator: completion,
- * validation against the continuous run, energy conservation across
- * categories, and power-failure re-execution behaviour.
+ * validation against the continuous run (and the per-Program golden
+ * cache behind it), energy conservation across categories, and
+ * power-failure re-execution behaviour.
  */
 
 #include <gtest/gtest.h>
 
 #include "isa/assembler.hh"
+#include "par/par.hh"
 #include "sim/simulator.hh"
 
 namespace nvmr
@@ -205,6 +207,89 @@ main:
     Simulator sim(spin, ArchKind::Clank, cfg, policy, trace, opts);
     RunResult r = sim.run();
     EXPECT_FALSE(r.completed);
+}
+
+TEST_F(SimTest, GoldenRunIsSharedAcrossSimulators)
+{
+    JitPolicy p1, p2;
+    Simulator a(prog, ArchKind::Nvmr, cfg, p1, trace);
+    Simulator b(prog, ArchKind::Clank, cfg, p2, trace);
+    ASSERT_TRUE(a.run().validated);
+    std::shared_ptr<const GoldenResult> first = goldenRun(prog);
+    ASSERT_TRUE(b.run().validated);
+    EXPECT_EQ(goldenRun(prog), first);
+    // The cached run is the plain golden interpretation.
+    GoldenResult fresh = runContinuous(prog);
+    EXPECT_EQ(first->data, fresh.data);
+    EXPECT_EQ(first->regs, fresh.regs);
+    EXPECT_EQ(first->pc, fresh.pc);
+    EXPECT_EQ(first->instructions, fresh.instructions);
+    EXPECT_TRUE(first->halted);
+}
+
+TEST_F(SimTest, GoldenRunIsSharedUnderParallelSimulators)
+{
+    // Concurrent first uses race to install the golden run; every
+    // worker must end up with the single installed result.
+    auto golden = par::parallelMap<const GoldenResult *>(
+        8,
+        [&](size_t i) {
+            JitPolicy policy;
+            ArchKind arch = i % 2 ? ArchKind::Nvmr : ArchKind::Clank;
+            Simulator sim(prog, arch, cfg, policy, trace);
+            EXPECT_TRUE(sim.run().validated);
+            return goldenRun(prog).get();
+        },
+        4);
+    for (const GoldenResult *g : golden)
+        EXPECT_EQ(g, golden[0]);
+    EXPECT_EQ(goldenRun(prog).get(), golden[0]);
+}
+
+TEST_F(SimTest, CopiesAndInvalidationGetAFreshGoldenRun)
+{
+    std::shared_ptr<const GoldenResult> original = goldenRun(prog);
+
+    Program copy = prog;
+    std::shared_ptr<const GoldenResult> copied = goldenRun(copy);
+    EXPECT_NE(copied, original);
+    EXPECT_EQ(copied->data, original->data);
+
+    // A mutated copy sees its own data, not the original's run.
+    Program mutated = prog;
+    mutated.data[0] ^= 0xff;
+    EXPECT_NE(goldenRun(mutated)->data, original->data);
+
+    Program assigned = assemble("other", "main:\n    halt\n");
+    std::shared_ptr<const GoldenResult> stale = goldenRun(assigned);
+    assigned = prog;
+    EXPECT_NE(goldenRun(assigned), stale);
+    EXPECT_EQ(goldenRun(assigned)->data, original->data);
+
+    prog.invalidateDecoded();
+    EXPECT_NE(goldenRun(prog), original);
+    EXPECT_EQ(goldenRun(prog)->data, original->data);
+}
+
+TEST_F(SimTest, RunDivergingFromGoldenIsNotValidated)
+{
+    // Cache the golden run, then change the initial data in place
+    // without invalidating: the cached image no longer matches what
+    // the program computes, and the word-by-word comparison must say
+    // so instead of trusting the cache.
+    std::shared_ptr<const GoldenResult> golden = goldenRun(prog);
+    prog.data[0] ^= 0x01;
+    JitPolicy p1, p2;
+    Simulator diverged(prog, ArchKind::Nvmr, cfg, p1, trace);
+    RunResult r = diverged.run();
+    EXPECT_TRUE(r.completed);
+    EXPECT_TRUE(r.validationChecked);
+    EXPECT_FALSE(r.validated);
+    EXPECT_FALSE(diverged.validateAgainstGolden(*golden));
+
+    prog.invalidateDecoded();
+    Simulator refreshed(prog, ArchKind::Nvmr, cfg, p2, trace);
+    EXPECT_TRUE(refreshed.run().validated);
 }
 
 } // namespace

@@ -46,8 +46,9 @@ handleJobsArg(int argc, char **argv, int &i)
 
 /**
  * Handle an `--engine NAME` argument pair inside a tool's arg loop:
- * when argv[i] is `--engine`, consume its value (interp | threaded)
- * and wire it into the engine selection (setGlobalEngine). The
+ * when argv[i] is `--engine`, consume its value (interp | threaded;
+ * threaded is the default when neither the flag nor NVMR_ENGINE is
+ * set) and wire it into the engine selection (setGlobalEngine). The
  * NVMR_ENGINE environment variable provides the same control without
  * a flag. Both engines produce bit-identical results, so the choice
  * is a host-side speed knob and never enters a config spec

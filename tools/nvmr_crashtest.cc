@@ -103,7 +103,8 @@ usage()
         "or all cores;\n"
         "                        --threads is an alias)\n"
         "  --smoke               fixed small subset for CI (<30 s)\n"
-        "  --engine NAME         interp | threaded execution engine\n"
+        "  --engine NAME         interp | threaded (default) "
+        "execution engine\n"
         "  --stats-json FILE     write the sweep manifest as JSON\n"
         "  --metrics FILE        live heartbeat snapshots "
         "(docs/observability.md)\n"
@@ -260,14 +261,14 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
     // are always prepared on the main thread (workers must not race
     // the assembler caches).
     Program prog;
-    GoldenResult golden;
+    std::shared_ptr<const GoldenResult> golden;
     bool have_prog = false;
     auto ensureProg = [&]() {
         if (have_prog)
             return;
         prog = assembleWorkload(workload);
-        golden = runContinuous(prog);
-        fatal_if(!golden.halted, "golden run of ", workload,
+        golden = goldenRun(prog);
+        fatal_if(!golden->halted, "golden run of ", workload,
                  " did not halt");
         have_prog = true;
     };
@@ -314,7 +315,7 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
                     std::to_string(ctx.budgetCycles) + " cycles"};
             CensusResult c;
             c.completed = r.completed &&
-                          sim.validateAgainstGolden(golden);
+                          sim.validateAgainstGolden(*golden);
             c.totalCycles = r.totalCycles;
             c.windows = sim.faultInjector().backupWindows();
             return campaign::encodeCensus(c);
@@ -411,7 +412,7 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             bool matched = false;
             const MachineSnapshot *from =
                 nearestSnapshot(snaps, cp);
-            RunResult r = runOnce(prog, arch, faults, golden,
+            RunResult r = runOnce(prog, arch, faults, *golden,
                                   &matched, ctx.budgetCycles, from);
             if (ctx.budgetCycles && !r.completed)
                 throw campaign::CellTimeout{
@@ -444,10 +445,10 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             faults.crashAtCycle = cp.cycle;
             bool m_fork = false, m_scratch = false;
             std::vector<uint8_t> img_fork, img_scratch;
-            RunResult r_fork = runOnce(prog, arch, faults, golden,
+            RunResult r_fork = runOnce(prog, arch, faults, *golden,
                                        &m_fork, 0, from, &img_fork);
             RunResult r_scratch =
-                runOnce(prog, arch, faults, golden, &m_scratch, 0,
+                runOnce(prog, arch, faults, *golden, &m_scratch, 0,
                         nullptr, &img_scratch);
             ++verified;
             if (sameRun(r_fork, r_scratch) &&

@@ -18,7 +18,7 @@
  *     nvmr_diff --bug rename_alias      # seeded-bug demo: catch,
  *                                       # shrink, save a .repro
  *     nvmr_diff --jobs 8                # worker count (or NVMR_JOBS)
- *     nvmr_diff --engine threaded       # engine (or NVMR_ENGINE)
+ *     nvmr_diff --engine interp         # engine (or NVMR_ENGINE)
  *     nvmr_diff --journal d.jrn         # checkpoint; --resume d.jrn
  *     nvmr_diff --metrics m.json        # heartbeat snapshots
  *

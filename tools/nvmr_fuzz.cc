@@ -18,7 +18,7 @@
  *     nvmr_fuzz --one SEED IDX  # re-run one (seed, case) pair -- the
  *                               # command a failure prints
  *     nvmr_fuzz --jobs 8 2000   # worker count (or NVMR_JOBS)
- *     nvmr_fuzz --engine threaded 2000   # engine (or NVMR_ENGINE)
+ *     nvmr_fuzz --engine interp 2000   # engine (or NVMR_ENGINE)
  *     nvmr_fuzz --journal f.jrn 2000   # checkpoint; --resume f.jrn
  *     nvmr_fuzz --metrics m.json 2000  # heartbeat snapshots
  *

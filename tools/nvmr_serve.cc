@@ -10,7 +10,7 @@
  *     nvmr_serve --spool DIR --once          # drain the spool, exit
  *     nvmr_serve --spool DIR --resume        # continue after a crash
  *     nvmr_serve --spool DIR --jobs 8        # worker width
- *     nvmr_serve --spool DIR --engine threaded  # default engine
+ *     nvmr_serve --spool DIR --engine interp  # default engine
  *     nvmr_serve --spool DIR --state DIR     # journals/outputs here
  *                                            # (default SPOOL/.nvmr_serve)
  *     --poll-ms N            spool scan period when idle (500)

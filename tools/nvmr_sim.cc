@@ -76,7 +76,8 @@ usage()
         "  --metrics FILE        host heartbeat snapshots "
         "(docs/observability.md)\n"
         "  --prof-json FILE      Perfetto host-span trace\n"
-        "  --engine NAME         interp | threaded execution engine\n"
+        "  --engine NAME         interp | threaded (default) "
+        "execution engine\n"
         "                        (bit-identical results; "
         "docs/performance.md)\n");
 }

@@ -9,7 +9,7 @@
  *     nvmr_sweep --traces 3 --archs clank,nvmr --caps 0.1,0.0075
  *     nvmr_sweep --workloads hist --stats-json sweep.json
  *     nvmr_sweep --jobs 8                      # worker count
- *     nvmr_sweep --engine threaded             # execution engine
+ *     nvmr_sweep --engine interp               # execution engine
  *     nvmr_sweep --journal sweep.jrn           # checkpoint cells
  *     nvmr_sweep --resume sweep.jrn            # skip finished cells
  *     nvmr_sweep --watchdog-cycles 50000000    # quarantine hangs
