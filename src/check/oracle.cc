@@ -12,20 +12,8 @@ diffFinalState(const IntermittentArch &arch, const Program &prog,
                size_t max_report)
 {
     StateDiff diff;
-    uint32_t words = prog.dataSize() / kWordBytes;
-    for (uint32_t i = 0; i < words; ++i) {
-        Addr addr = i * kWordBytes;
-        Word expect = 0;
-        for (unsigned b = 0; b < kWordBytes; ++b)
-            expect |= static_cast<Word>(oracle.data[addr + b])
-                      << (8 * b);
-        Word actual = arch.inspectWord(addr);
-        if (actual == expect)
-            continue;
-        ++diff.totalWordDiffs;
-        if (diff.words.size() < max_report)
-            diff.words.push_back({addr, expect, actual});
-    }
+    diff.totalWordDiffs =
+        diffAgainstGolden(arch, prog, oracle, &diff.words, max_report);
     if (cpu && oracle.halted) {
         diff.regsChecked = true;
         for (unsigned i = 0; i < kNumRegs; ++i)

@@ -41,14 +41,6 @@ runOracle(const Program &prog, uint64_t max_instructions = 200000000ull)
     return runContinuous(prog, max_instructions);
 }
 
-/** One diverging word. */
-struct WordDiff
-{
-    Addr addr = 0;
-    Word expect = 0; ///< oracle value
-    Word actual = 0; ///< architecture's recovered value
-};
-
 /** Oracle-vs-architecture final-state diff. */
 struct StateDiff
 {
@@ -73,7 +65,8 @@ struct StateDiff
 /**
  * Diff the architecture's post-run NVM image (through its mapping)
  * and, optionally, the CPU's register file against the oracle state.
- * Compares every word of the program's data segment.
+ * Compares every word of the program's data segment
+ * (diffAgainstGolden, sim/simulator.hh).
  */
 StateDiff diffFinalState(const IntermittentArch &arch,
                          const Program &prog,

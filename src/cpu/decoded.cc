@@ -9,7 +9,7 @@ namespace nvmr
 namespace
 {
 
-/** Lower one instruction (everything except fusion metadata). */
+/** Lower one instruction. */
 DecodedOp
 lower(const Instruction &inst, uint32_t pc, const Program &prog)
 {
@@ -92,7 +92,7 @@ lower(const Instruction &inst, uint32_t pc, const Program &prog)
     // Writes to the hardwired zero register keep their timing but
     // compute nothing. JAL's link write also discards, but it still
     // redirects the PC so it stays a control op.
-    if (op.kind < kFirstNonFusible && op.rd == kRegZero)
+    if (op.kind < kFirstNonAlu && op.rd == kRegZero)
         op.kind = XOp::Discard;
 
     debug_assert(op.cycles <= kMaxOpCycles, "cycle table overflow");
@@ -108,24 +108,6 @@ predecode(const Program &prog)
     image.ops.reserve(prog.text.size());
     for (uint32_t pc = 0; pc < prog.text.size(); ++pc)
         image.ops.push_back(lower(prog.text[pc], pc, prog));
-
-    // Backward scan: fuse[i] is the length of the maximal fusible
-    // straight-line run starting at i. Runs are capped so a fused
-    // step's cycle advance stays far below one harvest sample.
-    for (uint32_t i = image.size(); i-- > 0;) {
-        DecodedOp &op = image.ops[i];
-        if (op.kind >= kFirstNonFusible)
-            continue; // fuse stays 0
-        if (i + 1 < image.size() && image.ops[i + 1].fuse > 0 &&
-            image.ops[i + 1].fuse < kMaxFuseOps) {
-            op.fuse = static_cast<uint16_t>(image.ops[i + 1].fuse + 1);
-            op.fuseCycles = static_cast<uint16_t>(
-                image.ops[i + 1].fuseCycles + op.cycles);
-        } else {
-            op.fuse = 1;
-            op.fuseCycles = op.cycles;
-        }
-    }
     return image;
 }
 

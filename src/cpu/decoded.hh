@@ -7,12 +7,8 @@
  * cache-friendly array of DecodedOp records: the opcode is mapped to
  * an execution-engine handler kind, shift immediates are pre-masked
  * to their 5 live bits, writes to the hardwired zero register are
- * folded into cycle-accurate discard ops, base pipeline cycles are
- * precomputed per op, and every op carries superblock-fusion
- * metadata -- the length and total cycle count of the maximal
- * straight-line run of fusible ALU ops starting at that op. The
- * engine uses the metadata to execute such runs as one fused step
- * whose energy/cycle accounting is bit-identical to the interpreter.
+ * folded into cycle-accurate discard ops, and base pipeline cycles are
+ * precomputed per op.
  *
  * Decoded images are immutable and shared: each Program owns a
  * lock-guarded, install-once slot (Program::_decoded), so concurrent
@@ -33,20 +29,19 @@ namespace nvmr
 {
 
 /**
- * Execution-engine opcode. The fusible ALU kinds come first so the
- * superblock scanner is one compare; `Discard` stands for any ALU op
- * whose destination is the hardwired zero register (the result is
- * dropped, only the cycle cost remains).
+ * Execution-engine opcode. The ALU kinds come first so "is an ALU op"
+ * is one compare; `Discard` stands for any ALU op whose destination
+ * is the hardwired zero register (the result is dropped, only the
+ * cycle cost remains).
  */
 enum class XOp : uint8_t
 {
-    // Fusible: straight-line ALU, no memory, no control flow, no
-    // cycle-point interaction beyond advancing the clock.
+    // ALU: register-only, no memory, no control flow.
     Add, Sub, Mul, Div, Rem, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu,
     Addi, Andi, Ori, Xori, Slli, Srli, Srai, Slti, Muli, Lui,
     Discard, // rd == zero: cycles only
 
-    // Non-fusible: memory, control flow, halt, task boundaries.
+    // Memory, control flow, halt, task boundaries.
     Ld, Ldb, St, Stb,
     Beq, Bne, Blt, Bge, Bltu, Bgeu,
     Jmp, Jal, Jr, Halt, Task,
@@ -54,14 +49,14 @@ enum class XOp : uint8_t
     NUM_XOPS
 };
 
-/** First non-fusible kind; everything below it may join a superblock. */
-constexpr XOp kFirstNonFusible = XOp::Ld;
+/** First non-ALU kind; everything below it is an ALU op. */
+constexpr XOp kFirstNonAlu = XOp::Ld;
 
 /** Largest base cycle count any single op can carry (DIV/REM). */
 constexpr unsigned kMaxOpCycles = 8;
 
 /**
- * One predecoded instruction (16 bytes, hot-loop friendly).
+ * One predecoded instruction (12 bytes, hot-loop friendly).
  * `imm` holds the pre-masked shift amount for SLLI/SRLI/SRAI and the
  * raw immediate otherwise; branch/jump targets are the instruction
  * index exactly as in the Instruction encoding.
@@ -79,20 +74,9 @@ struct DecodedOp
 
     /** Extra cycles when a branch/jump redirects the PC. */
     uint8_t takenExtra = 0;
-
-    /** Ops in the maximal fusible run starting here (0 for
-     *  non-fusible ops, >= 1 otherwise; capped at kMaxFuseOps). */
-    uint16_t fuse = 0;
-
-    /** Total base cycles of that run. */
-    uint16_t fuseCycles = 0;
 };
 
-static_assert(sizeof(DecodedOp) <= 16, "keep decoded ops dense");
-
-/** Superblocks are capped so a fused step stays well inside one
- *  harvest sample (8000 cycles) and one watchdog/budget check. */
-constexpr unsigned kMaxFuseOps = 32;
+static_assert(sizeof(DecodedOp) <= 12, "keep decoded ops dense");
 
 /** An immutable predecoded program image. */
 struct DecodedProgram

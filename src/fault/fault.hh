@@ -165,18 +165,6 @@ class FaultInjector
     /** Total persist boundaries seen so far. */
     uint64_t persistCount() const { return st.persistPoints; }
 
-    /** The next armed cycle-schedule entry (UINT64_MAX when none
-     *  remain). The threaded engine refuses to fuse a superblock
-     *  that would advance totalCycles past this boundary, so armed
-     *  crashes always fire from the per-instruction path exactly as
-     *  they do under the interpreter. */
-    uint64_t
-    nextCyclePoint() const
-    {
-        return cycleIdx < cycleSched.size() ? cycleSched[cycleIdx]
-                                            : UINT64_MAX;
-    }
-
     // ------------------------------------------------------------------
     // Backup-window census (for the crash-point explorer)
     // ------------------------------------------------------------------

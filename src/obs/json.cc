@@ -169,270 +169,13 @@ JsonWriter::escape(const std::string &s)
 }
 
 // ----------------------------------------------------------------------
-// Validating parser
+// Parser
 // ----------------------------------------------------------------------
 
 namespace
 {
 
-uint32_t
-hexDigit(unsigned char c)
-{
-    if (c >= '0' && c <= '9')
-        return static_cast<uint32_t>(c - '0');
-    if (c >= 'a' && c <= 'f')
-        return static_cast<uint32_t>(c - 'a' + 10);
-    return static_cast<uint32_t>(c - 'A' + 10);
-}
-
-/** Strict recursive-descent JSON validator. */
-class Validator
-{
-  public:
-    Validator(const std::string &text, std::string *error)
-        : s(text), err(error)
-    {}
-
-    bool
-    run()
-    {
-        skipWs();
-        if (!parseValue())
-            return false;
-        skipWs();
-        if (pos != s.size())
-            return fail("trailing characters after document");
-        return true;
-    }
-
-  private:
-    const std::string &s;
-    std::string *err;
-    size_t pos = 0;
-    unsigned depth = 0;
-    static constexpr unsigned kMaxDepth = 512;
-
-    bool
-    fail(const std::string &why)
-    {
-        if (err)
-            *err = why + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        size_t n = 0;
-        while (word[n])
-            ++n;
-        if (s.compare(pos, n, word) != 0)
-            return fail("bad literal");
-        pos += n;
-        return true;
-    }
-
-    bool
-    parseValue()
-    {
-        if (depth > kMaxDepth)
-            return fail("nesting too deep");
-        if (pos >= s.size())
-            return fail("unexpected end of input");
-        switch (s[pos]) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return parseString();
-          case 't': return literal("true");
-          case 'f': return literal("false");
-          case 'n': return literal("null");
-          default: return parseNumber();
-        }
-    }
-
-    bool
-    parseObject()
-    {
-        ++depth;
-        ++pos; // '{'
-        skipWs();
-        if (pos < s.size() && s[pos] == '}') {
-            ++pos;
-            --depth;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (pos >= s.size() || s[pos] != '"')
-                return fail("expected object key");
-            if (!parseString())
-                return false;
-            skipWs();
-            if (pos >= s.size() || s[pos] != ':')
-                return fail("expected ':'");
-            ++pos;
-            skipWs();
-            if (!parseValue())
-                return false;
-            skipWs();
-            if (pos < s.size() && s[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (pos < s.size() && s[pos] == '}') {
-                ++pos;
-                --depth;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseArray()
-    {
-        ++depth;
-        ++pos; // '['
-        skipWs();
-        if (pos < s.size() && s[pos] == ']') {
-            ++pos;
-            --depth;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!parseValue())
-                return false;
-            skipWs();
-            if (pos < s.size() && s[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (pos < s.size() && s[pos] == ']') {
-                ++pos;
-                --depth;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool
-    parseString()
-    {
-        ++pos; // '"'
-        while (pos < s.size()) {
-            unsigned char c = s[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos;
-                if (pos >= s.size())
-                    return fail("unterminated escape");
-                char e = s[pos];
-                if (e == 'u') {
-                    uint32_t cp = 0;
-                    for (unsigned i = 1; i <= 4; ++i) {
-                        if (pos + i >= s.size() ||
-                            !std::isxdigit(
-                                static_cast<unsigned char>(s[pos + i])))
-                            return fail("bad \\u escape");
-                        cp = cp * 16 +
-                             hexDigit(static_cast<unsigned char>(
-                                 s[pos + i]));
-                    }
-                    pos += 4;
-                    // Same surrogate-pairing rule as jsonParse: an
-                    // unpaired surrogate is malformed.
-                    if (cp >= 0xDC00 && cp <= 0xDFFF)
-                        return fail("unpaired low surrogate");
-                    if (cp >= 0xD800 && cp <= 0xDBFF) {
-                        if (pos + 2 >= s.size() ||
-                            s[pos + 1] != '\\' || s[pos + 2] != 'u')
-                            return fail("unpaired high surrogate");
-                        pos += 2;
-                        uint32_t lo = 0;
-                        for (unsigned i = 1; i <= 4; ++i) {
-                            if (pos + i >= s.size() ||
-                                !std::isxdigit(
-                                    static_cast<unsigned char>(
-                                        s[pos + i])))
-                                return fail("bad \\u escape");
-                            lo = lo * 16 +
-                                 hexDigit(static_cast<unsigned char>(
-                                     s[pos + i]));
-                        }
-                        pos += 4;
-                        if (lo < 0xDC00 || lo > 0xDFFF)
-                            return fail("unpaired high surrogate");
-                    }
-                } else if (e != '"' && e != '\\' && e != '/' &&
-                           e != 'b' && e != 'f' && e != 'n' &&
-                           e != 'r' && e != 't') {
-                    return fail("bad escape character");
-                }
-                ++pos;
-            } else if (c < 0x20) {
-                return fail("raw control character in string");
-            } else {
-                ++pos;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseNumber()
-    {
-        size_t start = pos;
-        if (pos < s.size() && s[pos] == '-')
-            ++pos;
-        if (pos >= s.size() ||
-            !std::isdigit(static_cast<unsigned char>(s[pos])))
-            return fail("bad number");
-        if (s[pos] == '0') {
-            ++pos;
-        } else {
-            while (pos < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos])))
-                ++pos;
-        }
-        if (pos < s.size() && s[pos] == '.') {
-            ++pos;
-            if (pos >= s.size() ||
-                !std::isdigit(static_cast<unsigned char>(s[pos])))
-                return fail("bad fraction");
-            while (pos < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos])))
-                ++pos;
-        }
-        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
-            ++pos;
-            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
-                ++pos;
-            if (pos >= s.size() ||
-                !std::isdigit(static_cast<unsigned char>(s[pos])))
-                return fail("bad exponent");
-            while (pos < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos])))
-                ++pos;
-        }
-        return pos > start;
-    }
-};
-
-/** Recursive-descent DOM parser with the Validator's strictness. */
+/** Strict recursive-descent JSON parser building a JsonValue DOM. */
 class Parser
 {
   public:
@@ -736,7 +479,8 @@ class Parser
 bool
 jsonValidate(const std::string &text, std::string *error)
 {
-    return Validator(text, error).run();
+    JsonValue discard;
+    return jsonParse(text, discard, error);
 }
 
 const JsonValue *

@@ -2,8 +2,9 @@
  * @file
  * Minimal JSON utilities for the observability layer: a streaming
  * writer with automatic comma/nesting management (used by the run
- * manifest, the Chrome trace exporter and the bench records) and a
- * strict validating parser (used by tests and the trace-smoke target
+ * manifest, the Chrome trace exporter and the bench records) and one
+ * strict parser: jsonParse builds a DOM, and jsonValidate is jsonParse
+ * with the DOM thrown away (used by tests and the trace-smoke target
  * to prove emitted documents are well-formed).
  */
 
@@ -76,16 +77,16 @@ class JsonWriter
 
 /**
  * Validate that `text` is one well-formed JSON document (with nothing
- * but whitespace after it). On failure returns false and, when `error`
- * is non-null, stores a human-readable reason with an offset.
+ * but whitespace after it): jsonParse into a throwaway JsonValue. On
+ * failure returns false and, when `error` is non-null, stores a
+ * human-readable reason with an offset.
  */
 bool jsonValidate(const std::string &text, std::string *error = nullptr);
 
 /**
  * Parsed JSON document node. A small DOM for offline tooling
- * (nvmr_report) that needs to *read* the documents the writer emits;
- * the strictness rules match jsonValidate exactly. Object member
- * order is preserved.
+ * (nvmr_report) that needs to *read* the documents the writer emits.
+ * Object member order is preserved.
  */
 class JsonValue
 {
@@ -122,9 +123,9 @@ class JsonValue
 };
 
 /**
- * Parse one strict JSON document into a DOM. Accepts exactly the
- * documents jsonValidate accepts; on failure returns false and stores
- * a reason in `error` when non-null.
+ * Parse one strict JSON document into a DOM (nesting capped at 512
+ * levels, unpaired UTF-16 surrogates rejected). On failure returns
+ * false and stores a reason with an offset in `error` when non-null.
  */
 bool jsonParse(const std::string &text, JsonValue &out,
                std::string *error = nullptr);

@@ -108,10 +108,10 @@ class Capacitor
     void setRawEnergy(NanoJoules nj) { e = nj; }
 
   private:
-    /** The threaded engine's superblock executor (sim/engine.cc)
-     *  keeps `e` in a register across a fused run of ALU ops and
-     *  compares against the precomputed thresholds directly; every
-     *  local update replicates drainNj/harvestNj bit for bit. */
+    /** The threaded engine's inlined per-instruction accounting
+     *  (sim/engine.cc) drains `e` and compares it against the
+     *  precomputed thresholds directly; every update replicates
+     *  drainNj bit for bit. */
     friend class ThreadedEngine;
 
     double farads;

@@ -181,10 +181,9 @@ class EnergyAccount
     }
 
   private:
-    /** The threaded engine's superblock executor (sim/engine.cc)
-     *  accumulates Forward / ForwardOverhead pending energy in
-     *  registers across a fused run and writes the slots back at
-     *  every exit. */
+    /** The threaded engine's inlined per-instruction accounting
+     *  (sim/engine.cc) adds Forward / ForwardOverhead pending energy
+     *  to the slots directly. */
     friend class ThreadedEngine;
 
     std::array<NanoJoules, kNumECats> committed{};

@@ -46,7 +46,7 @@ struct PolicyFastPath
     enum class Mode : uint8_t
     {
         /** shouldBackup() keeps state or has side effects; it must be
-         *  called after every instruction (fusion is disabled). */
+         *  called after every instruction. */
         Generic,
         /** Fires iff cap.usableNj() <= backupCostNj*margin + slackNj. */
         EnergyThreshold,

@@ -7,10 +7,13 @@
  * registers, energy ledger, stats, event streams -- are bit-identical
  * to `interp` (the engine-equivalence ctest enforces this).
  *
- * Three layers of speedup, each with an exact bail-out:
+ * Two layers of speedup:
  *
- *  1. Predecoded ops (cpu/decoded.hh): no per-step field decode, no
- *     per-step register bounds checks, shift immediates pre-masked.
+ *  1. Predecoded ops (cpu/decoded.hh) dispatched by one switch: no
+ *     per-step field decode, no per-step register bounds checks,
+ *     shift immediates pre-masked, and the per-instruction cycle and
+ *     energy accounting inlined (chargeCycles) instead of the
+ *     interpreter's chain of cross-TU calls.
  *  2. Inlined per-instruction policy check (PolicyFastPath): the JIT
  *     threshold `backupCostNowNj()*margin + slackNj` is cached while
  *     nothing that can change the backup cost has run (every
@@ -18,16 +21,6 @@
  *     mutated only by memory traffic, task boundaries, backups,
  *     restores and power failures -- exactly the events that clear
  *     `costValid`). Stateful policies fall back to the virtual call.
- *  3. Superblock fusion: a maximal straight-line run of ALU ops
- *     executes as one fused step with the capacitor energy, pending
- *     ledger and cycle counters held in registers. Fusion requires
- *     proof that the interpreter would have done nothing else inside
- *     the run: no harvest-sample boundary, no cycle budget edge, no
- *     armed crash point, no Generic policy. The fused loop still
- *     applies each op's harvest/drain/dead-check individually (IEEE
- *     FP is not associative; bulk-summing would drift), and writes
- *     every local back before any exit -- fire, brown-out, or block
- *     end -- so exceptions always unwind from a consistent Simulator.
  */
 
 #include "sim/engine.hh"
@@ -147,7 +140,7 @@ constexpr int kSessionCompleted = 1;
 constexpr int kSessionStop = 2;
 
 /**
- * Execute one fusible ALU op against the register file. Mirrors the
+ * Execute one ALU op against the register file. Mirrors the
  * corresponding Cpu::step() cases exactly; rd is never the zero
  * register (the predecoder folds those to Discard).
  */
@@ -155,7 +148,7 @@ constexpr int kSessionStop = 2;
 [[gnu::always_inline]]
 #endif
 inline void
-execFusible(const DecodedOp &f, Word *r)
+execAlu(const DecodedOp &f, Word *r)
 {
     const Word a = r[f.rs1];
     const Word b = r[f.rs2];
@@ -259,8 +252,6 @@ ThreadedEngine::session(unsigned &cancel_check)
     const bool mt = s.chargesMtLeak;
 
     uint32_t pc = cpu._pc;
-    const DecodedOp *o;
-    bool taken;
 
     // Inlined copy of Simulator::addCycles() for the retire path
     // (mode is always Execute there, so applyEnergy/categoryFor
@@ -306,320 +297,131 @@ ThreadedEngine::session(unsigned &cancel_check)
         s.injector.cyclePoint(tot);
     };
 
-#if defined(__GNUC__) && !defined(NVMR_THREADED_SWITCH)
-#define NVMR_CGOTO 1
-#else
-#define NVMR_CGOTO 0
-#endif
-
-#if NVMR_CGOTO
-    // Handler table indexed by XOp. All 24 fusible kinds share the
-    // ALU handler (execFusible re-dispatches on the exact kind).
-    static const void *const kLabels[] = {
-        &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu,
-        &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu,
-        &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu, &&h_alu,
-        &&h_alu, &&h_alu, &&h_alu,
-        &&h_ld, &&h_ldb, &&h_st, &&h_stb,
-        &&h_beq, &&h_bne, &&h_blt, &&h_bge, &&h_bltu, &&h_bgeu,
-        &&h_jmp, &&h_jal, &&h_jr, &&h_halt, &&h_task,
-    };
-    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                      static_cast<size_t>(XOp::NUM_XOPS),
-                  "handler table out of sync with XOp");
-#define NVMR_DISPATCH() goto *kLabels[static_cast<size_t>(o->kind)]
-#else
-#define NVMR_DISPATCH() goto dispatch_switch
-#endif
-
-  top:
-    // Per-instruction preamble, identical to the interpreter loop:
-    // budget first, then the snapshot point (the same boundary the
-    // interpreter fires at), the coarse cancel poll, and the fetch
-    // bounds check.
-    if (s.totalCycles > max_cycles)
-        return kSessionStop;
-    if (s.snapPending)
-        s.fireSnapshotPoint();
-    if (cancel && ++cancel_check >= 1024) {
-        cancel_check = 0;
-        if (cancel->load(std::memory_order_relaxed))
+    for (;;) {
+        // Per-instruction preamble, identical to the interpreter loop:
+        // budget first, then the snapshot point (the same boundary the
+        // interpreter fires at), the coarse cancel poll, and the fetch
+        // bounds check.
+        if (s.totalCycles > max_cycles)
             return kSessionStop;
-    }
-    panic_if(pc >= text_size,
-             "PC out of range: ", pc, " in ", s.program.name);
-    o = &ops[pc];
+        if (s.snapPending)
+            s.fireSnapshotPoint();
+        if (cancel && ++cancel_check >= 1024) {
+            cancel_check = 0;
+            if (cancel->load(std::memory_order_relaxed))
+                return kSessionStop;
+        }
+        panic_if(pc >= text_size,
+                 "PC out of range: ", pc, " in ", s.program.name);
+        const DecodedOp &o = ops[pc];
+        Cycles cyc = o.cycles;
+        bool taken;
 
-    if constexpr (M != kPolGeneric) {
-        if (o->fuse > 1) {
-            // Superblock fusion preconditions: the whole run must
-            // stay inside the cached harvest sample (so each op's
-            // harvest is the same fast-path multiply the interpreter
-            // would do and no mid-run cache refresh happens), inside
-            // the cycle budget (the interpreter checks it before
-            // every step), and short of the next armed crash point.
-            const uint64_t tot0 = s.totalCycles;
-            const uint64_t end = tot0 + o->fuseCycles;
-            if (end <= s.harvestSampleEnd && end <= max_cycles &&
-                end < s.injector.nextCyclePoint()) {
-                if constexpr (M == kPolEnergy) {
-                    if (!costValid) {
-                        rhs = s.arch->backupCostNowNj() * margin +
-                              slackNj;
-                        costValid = true;
-                    }
+        // Each case leaves `pc` at the next instruction; the retire
+        // below is shared. Memory and task ops may throw before
+        // retiring, leaving Cpu::_pc at this instruction exactly as
+        // Cpu::step() does. ALU ops, the most common kind, take one
+        // compare before execAlu's own switch.
+        if (o.kind < kFirstNonAlu) {
+            execAlu(o, r);
+            ++pc;
+        } else {
+            switch (o.kind) {
+              case XOp::Ld: {
+                const Word v =
+                    port.loadWord(r[o.rs1] + static_cast<Word>(o.imm));
+                if (o.rd != kRegZero)
+                    r[o.rd] = v;
+                costValid = false;
+                ++pc;
+                break;
+              }
+              case XOp::Ldb: {
+                const Word v =
+                    port.loadByte(r[o.rs1] + static_cast<Word>(o.imm));
+                if (o.rd != kRegZero)
+                    r[o.rd] = v;
+                costValid = false;
+                ++pc;
+                break;
+              }
+              case XOp::St:
+                port.storeWord(r[o.rs1] + static_cast<Word>(o.imm),
+                               r[o.rs2]);
+                costValid = false;
+                ++pc;
+                break;
+              case XOp::Stb:
+                port.storeByte(r[o.rs1] + static_cast<Word>(o.imm),
+                               static_cast<uint8_t>(r[o.rs2]));
+                costValid = false;
+                ++pc;
+                break;
+
+              case XOp::Beq: taken = r[o.rs1] == r[o.rs2]; goto branch;
+              case XOp::Bne: taken = r[o.rs1] != r[o.rs2]; goto branch;
+              case XOp::Blt:
+                taken = static_cast<SWord>(r[o.rs1]) <
+                        static_cast<SWord>(r[o.rs2]);
+                goto branch;
+              case XOp::Bge:
+                taken = static_cast<SWord>(r[o.rs1]) >=
+                        static_cast<SWord>(r[o.rs2]);
+                goto branch;
+              case XOp::Bltu: taken = r[o.rs1] < r[o.rs2]; goto branch;
+              case XOp::Bgeu: taken = r[o.rs1] >= r[o.rs2]; goto branch;
+              branch:
+                if (taken) {
+                    pc = static_cast<uint32_t>(o.imm);
+                    cyc += o.takenExtra;
+                } else {
+                    ++pc;
                 }
-                const unsigned n = o->fuse;
-                if (cancel)
-                    cancel_check += n - 1;
+                break;
 
-                double e = s.cap.e;
-                const double e_max = s.cap.eMax;
-                const double e_dead = s.cap.eDead;
-                const double e_off = s.cap.eOff;
-                double pf =
-                    s.account.pending[size_t(ECat::Forward)];
-                double pfo =
-                    s.account.pending[size_t(ECat::ForwardOverhead)];
-                uint64_t tot = tot0;
-                uint64_t act = s.activeCycles;
-                const uint64_t last_backup = s.lastBackupActive;
-                // (h * k) * n matches the interpreter's
-                // left-associated harvest fast path exactly.
-                const double hk =
-                    s.harvestMwCached * HarvestTrace::njPerMwCycle;
+              case XOp::Jmp: pc = static_cast<uint32_t>(o.imm); break;
+              case XOp::Jal:
+                if (o.rd != kRegZero)
+                    r[o.rd] = pc + 1;
+                pc = static_cast<uint32_t>(o.imm);
+                break;
+              case XOp::Jr:
+                pc = r[o.rs1] + static_cast<uint32_t>(o.imm);
+                break;
 
-                const DecodedOp *f = o;
-                unsigned i = 0;
-                bool died = false;
-                bool fired = false;
-                for (; i < n; ++f) {
-                    execFusible(*f, r);
-                    ++i;
-                    const double dn =
-                        static_cast<double>(f->cycles);
-                    e += hk * dn;
-                    if (e > e_max)
-                        e = e_max;
-                    tot += f->cycles;
-                    act += f->cycles;
-                    double nj = dn * fwdNjPerCycle;
-                    e = e > nj ? e - nj : 0.0;
-                    pf += nj;
-                    if (e <= e_dead) {
-                        died = true;
-                        break;
-                    }
-                    if (mt) {
-                        nj = dn * mtNjPerCycle;
-                        e = e > nj ? e - nj : 0.0;
-                        pfo += nj;
-                        if (e <= e_dead) {
-                            died = true;
-                            break;
-                        }
-                    }
-                    if constexpr (M == kPolEnergy) {
-                        if ((e > e_off ? e - e_off : 0.0) <= rhs) {
-                            fired = true;
-                            break;
-                        }
-                    } else if constexpr (M == kPolPeriod) {
-                        if (act - last_backup >= period) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                }
-
-                // Write everything back before any exit: the op that
-                // died or fired has retired, and the refresh check
-                // reproduces the one the interpreter's addCycles()
-                // would have run during the run's last op.
-                pc += i;
+              case XOp::Halt:
+                // Same order as Cpu::step() + the interpreter loop: record
+                // the halt (with the retiring instruction's 1-based
+                // instret), retire without advancing the PC, account the
+                // cycle, then take the final backup. Either of the last
+                // two can throw; a restore clears _halted and re-runs to
+                // the HALT, exactly like interp.
+                cpu._halted = true;
+                if (cpu.tracer)
+                    cpu.tracer->record(EventKind::CpuHalt, cpu._instret + 1);
                 cpu._pc = pc;
-                cpu._instret += i;
-                s.cap.e = e;
-                s.account.pending[size_t(ECat::Forward)] = pf;
-                s.account.pending[size_t(ECat::ForwardOverhead)] = pfo;
-                s.totalCycles = tot;
-                s.activeCycles = act;
-                if (tot >= s.harvestSampleEnd)
-                    s.refreshHarvestCache();
-                if (died)
-                    throw PowerFailure{};
-                if (fired)
-                    firePolicyBackup();
-                goto top;
+                ++cpu._instret;
+                chargeCycles(cyc);
+                s.requestBackup(BackupReason::Final);
+                return kSessionCompleted;
+
+              case XOp::Task:
+                // The port call runs before retire (a backup taken inside
+                // the task boundary snapshots the TASK's own PC, as in
+                // Cpu::step()).
+                port.taskBoundary();
+                costValid = false;
+                ++pc;
+                break;
+
+              default: panic("bad decoded op at pc=", pc);
             }
         }
+        cpu._pc = pc;
+        ++cpu._instret;
+        chargeCycles(cyc);
+        policyAfterStep<M>();
     }
-    NVMR_DISPATCH();
-
-  h_alu:
-    execFusible(*o, r);
-    ++pc;
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-
-  h_ld: {
-    const Word v =
-        port.loadWord(r[o->rs1] + static_cast<Word>(o->imm));
-    if (o->rd != kRegZero)
-        r[o->rd] = v;
-    costValid = false;
-    ++pc;
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-  }
-
-  h_ldb: {
-    const Word v =
-        port.loadByte(r[o->rs1] + static_cast<Word>(o->imm));
-    if (o->rd != kRegZero)
-        r[o->rd] = v;
-    costValid = false;
-    ++pc;
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-  }
-
-  h_st:
-    port.storeWord(r[o->rs1] + static_cast<Word>(o->imm), r[o->rs2]);
-    costValid = false;
-    ++pc;
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-
-  h_stb:
-    port.storeByte(r[o->rs1] + static_cast<Word>(o->imm),
-                   static_cast<uint8_t>(r[o->rs2]));
-    costValid = false;
-    ++pc;
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-
-  h_beq:
-    taken = r[o->rs1] == r[o->rs2];
-    goto h_branch;
-  h_bne:
-    taken = r[o->rs1] != r[o->rs2];
-    goto h_branch;
-  h_blt:
-    taken = static_cast<SWord>(r[o->rs1]) <
-            static_cast<SWord>(r[o->rs2]);
-    goto h_branch;
-  h_bge:
-    taken = static_cast<SWord>(r[o->rs1]) >=
-            static_cast<SWord>(r[o->rs2]);
-    goto h_branch;
-  h_bltu:
-    taken = r[o->rs1] < r[o->rs2];
-    goto h_branch;
-  h_bgeu:
-    taken = r[o->rs1] >= r[o->rs2];
-    goto h_branch;
-  h_branch: {
-    Cycles cyc = o->cycles;
-    if (taken) {
-        pc = static_cast<uint32_t>(o->imm);
-        cyc += o->takenExtra;
-    } else {
-        ++pc;
-    }
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(cyc);
-    policyAfterStep<M>();
-    goto top;
-  }
-
-  h_jmp:
-    pc = static_cast<uint32_t>(o->imm);
-    goto h_control_retire;
-  h_jal:
-    if (o->rd != kRegZero)
-        r[o->rd] = pc + 1;
-    pc = static_cast<uint32_t>(o->imm);
-    goto h_control_retire;
-  h_jr:
-    pc = r[o->rs1] + static_cast<uint32_t>(o->imm);
-    goto h_control_retire;
-  h_control_retire:
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-
-  h_halt:
-    // Same order as Cpu::step() + the interpreter loop: record the
-    // halt (with the retiring instruction's 1-based instret), retire
-    // without advancing the PC, account the cycle, then take the
-    // final backup. Either of the last two can throw; a restore
-    // clears _halted and re-runs to the HALT, exactly like interp.
-    cpu._halted = true;
-    if (cpu.tracer)
-        cpu.tracer->record(EventKind::CpuHalt, cpu._instret + 1);
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    s.requestBackup(BackupReason::Final);
-    return kSessionCompleted;
-
-  h_task:
-    // The port call runs before retire (a backup taken inside the
-    // task boundary snapshots the TASK's own PC, as in Cpu::step()).
-    port.taskBoundary();
-    costValid = false;
-    ++pc;
-    cpu._pc = pc;
-    ++cpu._instret;
-    chargeCycles(o->cycles);
-    policyAfterStep<M>();
-    goto top;
-
-#if !NVMR_CGOTO
-  dispatch_switch:
-    if (o->kind < kFirstNonFusible)
-        goto h_alu;
-    switch (o->kind) {
-      case XOp::Ld: goto h_ld;
-      case XOp::Ldb: goto h_ldb;
-      case XOp::St: goto h_st;
-      case XOp::Stb: goto h_stb;
-      case XOp::Beq: goto h_beq;
-      case XOp::Bne: goto h_bne;
-      case XOp::Blt: goto h_blt;
-      case XOp::Bge: goto h_bge;
-      case XOp::Bltu: goto h_bltu;
-      case XOp::Bgeu: goto h_bgeu;
-      case XOp::Jmp: goto h_jmp;
-      case XOp::Jal: goto h_jal;
-      case XOp::Jr: goto h_jr;
-      case XOp::Halt: goto h_halt;
-      case XOp::Task: goto h_task;
-      default: panic("bad decoded op at pc=", pc);
-    }
-#endif
-
-#undef NVMR_DISPATCH
-#undef NVMR_CGOTO
 }
 
 template <int M>

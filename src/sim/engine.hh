@@ -8,13 +8,12 @@
  *  - `interp`: the reference path -- Cpu::step()'s opcode switch,
  *    one virtual addCycles() and one policy call per instruction.
  *  - `threaded` (the default): executes the shared predecoded op image
- *    (cpu/decoded.hh) with computed-goto dispatch, an inlined copy of
- *    the per-instruction accounting, a cached backup-policy threshold
- *    (PolicyFastPath), and superblock fusion of straight-line ALU
- *    runs. Anything the fast path cannot prove safe -- memory ops,
- *    control flow, harvest-sample boundaries, armed crash points,
- *    stateful policies -- bails to the exact interpreter-equivalent
- *    slow path.
+ *    (cpu/decoded.hh) in one switch-dispatched loop with an inlined
+ *    copy of the per-instruction accounting and a cached
+ *    backup-policy threshold (PolicyFastPath). Stateful policies and
+ *    everything outside the per-instruction step (port stalls,
+ *    backups, power failures) call back into the same Simulator code
+ *    the interpreter uses.
  *
  * Because the outputs are identical, the engine choice is a host-side
  * performance knob: it is NOT part of a run's configuration spec and

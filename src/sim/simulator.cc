@@ -322,8 +322,6 @@ Simulator::requestBackup(BackupReason reason)
     backupIntervalHist.sample(
         static_cast<double>(activeCycles - lastBackupActive));
     lastBackupActive = activeCycles;
-    if (observer)
-        observer->onBackup(reason, activeCycles);
     if (tracer)
         tracer->record(EventKind::BackupCommit,
                        static_cast<uint64_t>(reason),
@@ -406,8 +404,6 @@ Simulator::hibernate()
     // JIT-style policies stop executing after their backup and wait
     // for the supply to recover or die. Volatile state is retained
     // while the capacitor stays above the brown-out voltage.
-    if (observer)
-        observer->onHibernate(activeCycles);
     if (tracer)
         tracer->record(EventKind::Hibernate);
     while (true) {
@@ -421,8 +417,6 @@ Simulator::hibernate()
         if (cap.dead())
             throw PowerFailure{}; // pending is empty: no dead energy
         if (cap.canTurnOn()) {
-            if (observer)
-                observer->onWake(activeCycles);
             if (tracer)
                 tracer->record(EventKind::Wake);
             return; // supply recovered; resume execution
@@ -494,8 +488,6 @@ Simulator::rebootFromReset()
             inAtomic = false;
             account.pendingToDead();
             arch->onPowerFail();
-            if (observer)
-                observer->onPowerFailure(activeCycles);
             if (tracer)
                 tracer->record(EventKind::PowerFail);
         }
@@ -517,8 +509,6 @@ Simulator::handlePowerFailure()
     arch->onPowerFail();
     onPeriodHist.sample(
         static_cast<double>(activeCycles - resumeActive));
-    if (observer)
-        observer->onPowerFailure(activeCycles);
     if (tracer)
         tracer->record(EventKind::PowerFail);
 
@@ -541,8 +531,6 @@ Simulator::handlePowerFailure()
             cpu.restore(snap);
             lastBackupActive = activeCycles;
             resumeActive = activeCycles;
-            if (observer)
-                observer->onRestore(activeCycles);
             if (tracer)
                 tracer->record(EventKind::Restore, 0,
                                arch->committedBackupSeq());
@@ -558,8 +546,6 @@ Simulator::handlePowerFailure()
             inAtomic = false;
             account.pendingToDead();
             arch->onPowerFail();
-            if (observer)
-                observer->onPowerFailure(activeCycles);
             if (tracer)
                 tracer->record(EventKind::PowerFail);
         }
@@ -683,20 +669,30 @@ Simulator::run()
 bool
 Simulator::validateAgainstGolden(const GoldenResult &golden) const
 {
-    // Compare every word of the application data segment, reading
-    // through the architecture's latest mapping.
-    uint32_t words = static_cast<uint32_t>(program.data.size()) /
-                     kWordBytes;
+    return diffAgainstGolden(*arch, program, golden) == 0;
+}
+
+uint64_t
+diffAgainstGolden(const IntermittentArch &arch, const Program &prog,
+                  const GoldenResult &golden,
+                  std::vector<WordDiff> *report, size_t max_report)
+{
+    uint64_t diffs = 0;
+    const uint32_t words = prog.dataSize() / kWordBytes;
     for (uint32_t w = 0; w < words; ++w) {
         Addr addr = w * kWordBytes;
         Word expect = 0;
         for (unsigned i = 0; i < kWordBytes; ++i)
             expect |= static_cast<Word>(golden.data[addr + i])
                       << (8 * i);
-        if (arch->inspectWord(addr) != expect)
-            return false;
+        Word actual = arch.inspectWord(addr);
+        if (actual == expect)
+            continue;
+        if (report && report->size() < max_report)
+            report->push_back({addr, expect, actual});
+        ++diffs;
     }
-    return true;
+    return diffs;
 }
 
 RunResult

@@ -74,49 +74,6 @@ struct RunResult
     }
 };
 
-/**
- * Observer of intermittent-execution events. Attach one through
- * Simulator::attachObserver to trace a run (the CLI driver's
- * --trace, tests, custom tooling). Callbacks fire synchronously.
- */
-class SimObserver
-{
-  public:
-    virtual ~SimObserver() = default;
-
-    /** A backup persisted. */
-    virtual void
-    onBackup(BackupReason reason, Cycles active_cycles)
-    {
-        (void)reason;
-        (void)active_cycles;
-    }
-
-    /** The supply browned out. */
-    virtual void onPowerFailure(Cycles active_cycles)
-    {
-        (void)active_cycles;
-    }
-
-    /** State was restored after a brown-out. */
-    virtual void onRestore(Cycles active_cycles)
-    {
-        (void)active_cycles;
-    }
-
-    /** A JIT-style policy put the core to sleep. */
-    virtual void onHibernate(Cycles active_cycles)
-    {
-        (void)active_cycles;
-    }
-
-    /** The supply recovered and execution resumed without loss. */
-    virtual void onWake(Cycles active_cycles)
-    {
-        (void)active_cycles;
-    }
-};
-
 /** Per-run knobs that are not part of the system configuration. */
 struct RunOptions
 {
@@ -188,6 +145,29 @@ struct GoldenResult
     bool halted = false;
 };
 
+/** One data-segment word where a run's final image differs from the
+ *  golden run. */
+struct WordDiff
+{
+    Addr addr = 0;
+    Word expect = 0; ///< golden value
+    Word actual = 0; ///< architecture's recovered value
+};
+
+/**
+ * Compare every word of `prog`'s data segment, read through `arch`'s
+ * latest mapping (so NvMR renames are followed), against the golden
+ * image. Returns the number of diverging words; the first `max_report`
+ * of them are appended to `report` when it is non-null. The one
+ * final-state compare: validation and the differential checker
+ * (check/oracle.hh) both call it.
+ */
+uint64_t diffAgainstGolden(const IntermittentArch &arch,
+                           const Program &prog,
+                           const GoldenResult &golden,
+                           std::vector<WordDiff> *report = nullptr,
+                           size_t max_report = 0);
+
 /** Bytes of flat memory a golden run executes over: the data segment
  *  plus generous scratch, matching the application region the
  *  intermittent runs see. */
@@ -252,9 +232,6 @@ class Simulator : public EnergySink, public BackupHost
      *  register file against the reference interpreter's). */
     const Cpu &cpuRef() const { return cpu; }
 
-    /** Attach an event observer (optional; call before run()). */
-    void attachObserver(SimObserver *obs) { observer = obs; }
-
     /**
      * Attach a trace sink (optional; call before run()). The sink's
      * clocks are bound to this simulator's cycle counters and the
@@ -315,7 +292,6 @@ class Simulator : public EnergySink, public BackupHost
      *  sink at the next instruction boundary (both engines check this
      *  at their loop top). Never set without opts.snapshots. */
     bool snapPending = false;
-    SimObserver *observer = nullptr;
     TraceSink *tracer = nullptr;
 
     /** Orchestration-level histograms, registered into the

@@ -4,7 +4,10 @@
 #  with --once and exit 0, leaves complete per-job outputs and a
 #  final nvmr-serve-v1 snapshot behind, and nvmr_report renders the
 #  snapshot (exit 2 on any schema violation, so exit 0 is the real
-#  assertion).
+#  assertion). The service renders the sweep CSV and the fuzz log
+#  itself (serve/runner.cc), so each job output must also be
+#  byte-identical to the stdout of the CLI tool run on the same job:
+#  nvmr_sweep for sweep1.csv, nvmr_fuzz for fuzz1.out.
 #
 #  Phase B -- a degraded spool (a poison `spin` job with a wall-clock
 #  deadline, an unparseable job file, and the same healthy sweep job)
@@ -14,9 +17,10 @@
 #
 # Invoked by the `serve-smoke` ctest:
 #
-#   cmake -DSERVE=... -DREPORT=... -DWORKDIR=... -P serve_smoke.cmake
+#   cmake -DSERVE=... -DREPORT=... -DSWEEP=... -DFUZZ=... -DWORKDIR=...
+#         -P serve_smoke.cmake
 
-foreach(var SERVE REPORT WORKDIR)
+foreach(var SERVE REPORT SWEEP FUZZ WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
     endif()
@@ -72,6 +76,36 @@ file(GLOB stray "${state_a}/*.tmp" "${state_a}/out/*.tmp")
 if(stray)
     message(FATAL_ERROR "atomic writes left temp files: ${stray}")
 endif()
+
+# Serve and CLI must produce the same bytes for the same job.
+execute_process(
+    COMMAND "${SWEEP}" --workloads hist --archs clank,nvmr
+            --policies jit --traces 2
+    OUTPUT_FILE "${WORKDIR}/cli_sweep1.csv"
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "nvmr_sweep for the sweep job exited with ${rc}")
+endif()
+execute_process(
+    COMMAND "${FUZZ}" --faults 10 3
+    OUTPUT_FILE "${WORKDIR}/cli_fuzz1.out"
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "nvmr_fuzz for the fuzz job exited with ${rc}")
+endif()
+foreach(pair "sweep1.csv;cli_sweep1.csv" "fuzz1.out;cli_fuzz1.out")
+    list(GET pair 0 served)
+    list(GET pair 1 cli)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "${state_a}/out/${served}" "${WORKDIR}/${cli}"
+        RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR
+                "served ${served} differs from the CLI tool's stdout "
+                "(${WORKDIR}/${cli})")
+    endif()
+endforeach()
 
 file(READ "${state_a}/out/fuzz1.out" fuzz_log)
 string(FIND "${fuzz_log}" "no divergence" pos)

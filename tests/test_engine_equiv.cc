@@ -157,8 +157,8 @@ const std::vector<ArchKind> kAllArchs = {
 
 /** A deliberately stateful policy: shouldBackup() counts its calls
  *  and fires on internal state, so fastPath() stays Generic and the
- *  threaded engine must poll it after every instruction (fusion
- *  disabled). The call count is part of the equivalence check. */
+ *  threaded engine must poll it through the virtual call after every
+ *  instruction. The call count is part of the equivalence check. */
 class CountingPolicy : public BackupPolicy
 {
   public:
@@ -268,8 +268,9 @@ TEST(EngineEquiv, CrashScheduleRepliesLandIdentically)
         EXPECT_EQ(fp.result.injectedCrashes, 1u)
             << archKindName(arch);
 
-        // A crash armed at a raw cycle point: exercises the fused
-        // block's bail-out before the injector's next cycle point.
+        // A crash armed at a raw cycle point: the threaded engine's
+        // inlined accounting must poll the injector at the same
+        // instruction as the interpreter's addCycles().
         RunOptions cycle;
         cycle.validate = false;
         cycle.faults.enabled = true;

@@ -45,7 +45,7 @@ elem:
 )";
 
 /** Captures the app image at backups, checks it at restores. */
-class RecoveryChecker : public SimObserver
+class RecoveryChecker : public TraceSink
 {
   public:
     RecoveryChecker(Simulator &simulator, uint32_t app_words)
@@ -54,7 +54,16 @@ class RecoveryChecker : public SimObserver
     }
 
     void
-    onBackup(BackupReason, Cycles) override
+    consume(const TraceEvent &ev) override
+    {
+        if (ev.kind == EventKind::BackupCommit)
+            onBackup();
+        else if (ev.kind == EventKind::Restore)
+            onRestore(ev.active);
+    }
+
+    void
+    onBackup()
     {
         image.resize(words);
         for (uint32_t w = 0; w < words; ++w)
@@ -63,7 +72,7 @@ class RecoveryChecker : public SimObserver
     }
 
     void
-    onRestore(Cycles at) override
+    onRestore(uint64_t at)
     {
         ASSERT_TRUE(haveImage) << "restore before any backup";
         ++restoresChecked;
@@ -102,7 +111,7 @@ TEST_P(RecoveryInvariant, RestoreAlwaysSeesLastBackupImage)
         HarvestTrace trace(TraceKind::Rf, seed, 7.0);
         Simulator sim(prog, GetParam(), cfg, policy, trace);
         RecoveryChecker checker(sim, 192);
-        sim.attachObserver(&checker);
+        sim.attachTrace(&checker);
 
         RunResult r = sim.run();
         ASSERT_TRUE(r.completed) << "seed " << seed;
@@ -123,7 +132,7 @@ TEST_P(RecoveryInvariant, HoldsUnderWatchdogToo)
     HarvestTrace trace(TraceKind::Wind, 999, 7.0);
     Simulator sim(prog, GetParam(), cfg, policy, trace);
     RecoveryChecker checker(sim, 192);
-    sim.attachObserver(&checker);
+    sim.attachTrace(&checker);
 
     RunResult r = sim.run();
     ASSERT_TRUE(r.completed);

@@ -40,20 +40,25 @@ elem:
         halt
 )";
 
-/** Observer that counts every event. */
-class CountingObserver : public SimObserver
+/** Trace sink that counts every power-cycle event. */
+class CountingSink : public TraceSink
 {
   public:
     void
-    onBackup(BackupReason reason, Cycles) override
+    consume(const TraceEvent &ev) override
     {
-        ++backups;
-        ++byReason[static_cast<size_t>(reason)];
+        switch (ev.kind) {
+          case EventKind::BackupCommit:
+            ++backups;
+            ++byReason.at(ev.a0);
+            break;
+          case EventKind::PowerFail: ++failures; break;
+          case EventKind::Restore: ++restores; break;
+          case EventKind::Hibernate: ++hibernates; break;
+          case EventKind::Wake: ++wakes; break;
+          default: break;
+        }
     }
-    void onPowerFailure(Cycles) override { ++failures; }
-    void onRestore(Cycles) override { ++restores; }
-    void onHibernate(Cycles) override { ++hibernates; }
-    void onWake(Cycles) override { ++wakes; }
 
     uint64_t backups = 0;
     uint64_t failures = 0;
@@ -64,7 +69,7 @@ class CountingObserver : public SimObserver
 };
 
 RunResult
-runWithObserver(CountingObserver &obs, double farads = 7.5e-3)
+runWithSink(CountingSink &obs, double farads = 7.5e-3)
 {
     Program prog = assemble("rpt", kProgram);
     SystemConfig cfg;
@@ -72,14 +77,14 @@ runWithObserver(CountingObserver &obs, double farads = 7.5e-3)
     static JitPolicy policy;
     HarvestTrace trace(TraceKind::Rf, 31, 7.0);
     Simulator sim(prog, ArchKind::Clank, cfg, policy, trace);
-    sim.attachObserver(&obs);
+    sim.attachTrace(&obs);
     return sim.run();
 }
 
 TEST(Observer, EventCountsMatchRunResult)
 {
-    CountingObserver obs;
-    RunResult r = runWithObserver(obs);
+    CountingSink obs;
+    RunResult r = runWithSink(obs);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(obs.backups, r.backups);
     EXPECT_EQ(obs.failures, r.powerFailures);
@@ -90,8 +95,8 @@ TEST(Observer, EventCountsMatchRunResult)
 
 TEST(Observer, HibernationsComeFromJitBackups)
 {
-    CountingObserver obs;
-    RunResult r = runWithObserver(obs);
+    CountingSink obs;
+    RunResult r = runWithSink(obs);
     ASSERT_TRUE(r.completed);
     // Every policy backup hibernates under JIT; each hibernation
     // either wakes or dies.
@@ -103,8 +108,8 @@ TEST(Observer, HibernationsComeFromJitBackups)
 
 TEST(Report, FullReportMentionsKeyFacts)
 {
-    CountingObserver obs;
-    RunResult r = runWithObserver(obs);
+    CountingSink obs;
+    RunResult r = runWithSink(obs);
     std::string report = formatRunReport(r);
     EXPECT_NE(report.find("rpt"), std::string::npos);
     EXPECT_NE(report.find("clank"), std::string::npos);
@@ -140,8 +145,8 @@ TEST(Report, InvalidRunIsFlagged)
 
 TEST(Report, BreakdownSharesSumToAboutHundred)
 {
-    CountingObserver obs;
-    RunResult r = runWithObserver(obs);
+    CountingSink obs;
+    RunResult r = runWithSink(obs);
     std::string bd = formatEnergyBreakdown(r);
     // Parse the percentages back out and sum them.
     double sum = 0;
@@ -168,8 +173,8 @@ TEST(Report, SkippedValidationIsNotAFailure)
 
 TEST(Report, LineSummaryIsOneLine)
 {
-    CountingObserver obs;
-    RunResult r = runWithObserver(obs);
+    CountingSink obs;
+    RunResult r = runWithSink(obs);
     std::string line = formatRunLine(r);
     EXPECT_EQ(line.find('\n'), std::string::npos);
     EXPECT_NE(line.find("uJ"), std::string::npos);

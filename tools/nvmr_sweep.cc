@@ -23,6 +23,7 @@
  * manifest before exiting 128+signal.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,6 +72,37 @@ joinList(const std::vector<std::string> &items)
     return out;
 }
 
+/** --traces: a whole number in [1, 10], the rule serve::parseJobText
+ *  applies to a job's "traces". */
+int
+parseTraceCount(const char *text)
+{
+    char *end = nullptr;
+    long n = std::strtol(text, &end, 10);
+    fatal_if(end == text || *end || n < 1 || n > 10,
+             "--traces must be a whole number in [1, 10], got '", text,
+             "'");
+    return static_cast<int>(n);
+}
+
+/** --caps: a non-empty list of positive capacitances in farads. */
+std::vector<double>
+parseCaps(const char *text)
+{
+    std::vector<double> caps;
+    for (const std::string &c : splitList(text)) {
+        char *end = nullptr;
+        double f = std::strtod(c.c_str(), &end);
+        fatal_if(end == c.c_str() || *end || !std::isfinite(f) ||
+                     f <= 0,
+                 "--caps values must be positive numbers, got '", c,
+                 "'");
+        caps.push_back(f);
+    }
+    fatal_if(caps.empty(), "--caps needs at least one capacitance");
+    return caps;
+}
+
 PolicyKind
 parseSweepPolicy(const std::string &name)
 {
@@ -115,15 +147,13 @@ main(int argc, char **argv)
             continue;
         std::string a = argv[i];
         if (a == "--traces") {
-            num_traces = std::atoi(need(i));
+            num_traces = parseTraceCount(need(i));
         } else if (a == "--archs") {
             archs = splitList(need(i));
         } else if (a == "--policies") {
             policies = splitList(need(i));
         } else if (a == "--caps") {
-            caps.clear();
-            for (const std::string &c : splitList(need(i)))
-                caps.push_back(std::strtod(c.c_str(), nullptr));
+            caps = parseCaps(need(i));
         } else if (a == "--workloads") {
             workloads = splitList(need(i));
         } else if (a == "--stats-json") {
