@@ -85,8 +85,8 @@ IntermittentArch::handleMiss(Addr block_addr)
              "evictLine left a dirty line behind");
     cache.invalidate(victim);
 
-    std::vector<Word> data = fetchBlock(block_addr);
-    cache.fill(victim, block_addr, data);
+    fetchBlock(block_addr, victim.data);
+    cache.fill(victim, block_addr, victim.data);
     afterFill(victim);
     return victim;
 }
@@ -120,6 +120,13 @@ IntermittentArch::access(Addr addr, uint32_t nbytes, bool is_store)
         tracer->record(EventKind::MemAccess, addr,
                        (static_cast<uint64_t>(is_store) << 8) | nbytes);
     return *line;
+}
+
+void
+IntermittentArch::fetchBlock(Addr block_addr, std::span<Word> out)
+{
+    for (uint32_t w = 0; w < out.size(); ++w)
+        out[w] = nvm.readWord(block_addr + w * kWordBytes);
 }
 
 void
@@ -436,18 +443,9 @@ IntermittentArch::inspectMapping(Addr addr) const
 Word
 IntermittentArch::inspectWord(Addr addr) const
 {
-    Addr block = addr & ~(cfg.cache.blockBytes - 1);
-    // Walk the cache without charging energy.
-    Word result = 0;
-    bool found = false;
-    cache.forEachLine([&](const CacheLine &line) {
-        if (line.valid && line.blockAddr == block) {
-            result = line.data[(addr - block) / kWordBytes];
-            found = true;
-        }
-    });
-    if (found)
-        return result;
+    Addr block = cache.blockAlign(addr);
+    if (const CacheLine *line = cache.peek(block))
+        return line->data[cache.wordIndex(addr)];
     Addr mapped = inspectMapping(block) + (addr - block);
     return nvm.inspectWord(mapped);
 }

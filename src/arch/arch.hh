@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -218,7 +219,9 @@ class IntermittentArch : public DataPort
     /**
      * Read the architecturally current value of an application word:
      * cache first, then the architecture's latest mapping of the
-     * address. Used by the correctness oracle and tests.
+     * address. Used by the correctness oracle and tests. Set-indexed
+     * (DataCache::peek probes one cache set) and side-effect-free: no
+     * energy, LRU, hit/miss or map-table-cache state changes.
      */
     virtual Word inspectWord(Addr addr) const;
 
@@ -282,8 +285,9 @@ class IntermittentArch : public DataPort
     StatGroup statRegistry;
 
     /** Fetch the current data of a block from backing storage
-     *  (charged reads); used on cache misses. */
-    virtual std::vector<Word> fetchBlock(Addr block_addr) = 0;
+     *  (charged reads) into `out`, the victim line's storage; used on
+     *  cache misses. The default reads the block's home address. */
+    virtual void fetchBlock(Addr block_addr, std::span<Word> out);
 
     /** Handle eviction of a valid line (writeback, violations,
      *  renaming, logging...). Must leave the line clean. */
@@ -298,7 +302,8 @@ class IntermittentArch : public DataPort
                           uint32_t nbytes, bool is_store);
 
     /** The architecturally-latest NVM location of an application
-     *  word, ignoring the cache (no energy). */
+     *  word, ignoring the cache. Set-indexed (MapTableCache::peek
+     *  probes one set) and side-effect-free, like inspectWord. */
     virtual Addr inspectMapping(Addr addr) const;
 
     /** Miss path shared by all architectures. */

@@ -11,15 +11,6 @@ ClankArch::ClankArch(const SystemConfig &config, Nvm &nvm_,
 {
 }
 
-std::vector<Word>
-ClankArch::fetchBlock(Addr block_addr)
-{
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = nvm.readWord(block_addr + w * kWordBytes);
-    return data;
-}
-
 void
 ClankArch::violatingWriteback(CacheLine &line)
 {

@@ -29,7 +29,6 @@ class ClankArch : public DominanceArch
     NanoJoules backupCostNowNj() const override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
     void violatingWriteback(CacheLine &line) override;
 };
 

@@ -149,8 +149,8 @@ ClankOriginalArch::inspectWord(Addr addr) const
     return nvm.inspectWord(addr & ~3u);
 }
 
-std::vector<Word>
-ClankOriginalArch::fetchBlock(Addr)
+void
+ClankOriginalArch::fetchBlock(Addr, std::span<Word>)
 {
     panic("ClankOriginalArch has no cache fetch path");
 }

@@ -21,47 +21,34 @@ HoopArch::HoopArch(const SystemConfig &config, Nvm &nvm_,
 {
 }
 
-Word
-HoopArch::backingWord(Addr word_addr) const
-{
-    // Newest update wins: bufNewest holds the last value appended for
-    // each buffered address (same answer a backwards buffer scan
-    // would give, without the scan).
-    auto buf = bufNewest.find(word_addr);
-    if (buf != bufNewest.end())
-        return buf->second;
-    auto log = committedLog.find(word_addr);
-    if (log != committedLog.end())
-        return log->second;
-    return nvm.inspectWord(word_addr);
-}
-
-std::vector<Word>
-HoopArch::fetchBlock(Addr block_addr)
+void
+HoopArch::fetchBlock(Addr block_addr, std::span<Word> out)
 {
     // Reconstruct the block: OOP buffer first (newest), then the
     // committed redo log (via the free mapping table), then home.
     // Either way each word costs one NVM-scale read; buffer hits are
-    // an SRAM touch.
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w) {
+    // an SRAM touch. One probe per structure per word.
+    for (uint32_t w = 0; w < out.size(); ++w) {
         Addr addr = block_addr + w * kWordBytes;
-        if (bufNewest.count(addr) != 0) {
+        auto buf = bufNewest.find(addr);
+        if (buf != bufNewest.end()) {
             sink.consume(kOopBufferTouchNj);
-            data[w] = backingWord(addr);
-        } else if (faults && faults->enabled() &&
-                   committedLog.find(addr) == committedLog.end()) {
+            out[w] = buf->second;
+            continue;
+        }
+        auto log = committedLog.find(addr);
+        if (faults && faults->enabled() && log == committedLog.end()) {
             // A genuine home read: go through the Nvm so the word
             // passes the bit-error / ECC pipeline (log hits below
             // serve SRAM-held data and only charge at NVM scale).
-            data[w] = nvm.readWord(addr);
+            out[w] = nvm.readWord(addr);
         } else {
             sink.addCycles(cfg.tech.flashReadCycles);
             sink.consume(cfg.tech.flashReadWordNj);
-            data[w] = backingWord(addr);
+            out[w] = log != committedLog.end() ? log->second
+                                               : nvm.inspectWord(addr);
         }
     }
-    return data;
 }
 
 void
@@ -285,18 +272,18 @@ HoopArch::restoreCostNowNj() const
 Word
 HoopArch::inspectWord(Addr addr) const
 {
-    Addr block = addr & ~(cfg.cache.blockBytes - 1);
-    Word result = 0;
-    bool found = false;
-    cache.forEachLine([&](const CacheLine &line) {
-        if (line.valid && line.blockAddr == block) {
-            result = line.data[(addr - block) / kWordBytes];
-            found = true;
-        }
-    });
-    if (found)
-        return result;
-    return backingWord(addr);
+    if (const CacheLine *line = cache.peek(cache.blockAlign(addr)))
+        return line->data[cache.wordIndex(addr)];
+    // Newest update wins: bufNewest holds the last value appended for
+    // each buffered address (same answer a backwards buffer scan
+    // would give, without the scan).
+    auto buf = bufNewest.find(addr);
+    if (buf != bufNewest.end())
+        return buf->second;
+    auto log = committedLog.find(addr);
+    if (log != committedLog.end())
+        return log->second;
+    return nvm.inspectWord(addr);
 }
 
 void

@@ -53,7 +53,7 @@ class HoopArch : public IntermittentArch
     void restoreState(StateReader &r) override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, std::span<Word> out) override;
     void evictLine(CacheLine &line) override;
 
     /** Backup-transaction hooks: the committed log *is* HOOP's
@@ -99,9 +99,6 @@ class HoopArch : public IntermittentArch
     std::unordered_map<Addr, Word> shadowLog;
     uint32_t shadowFill = 0;
     bool shadowValid = false;
-
-    /** Latest architectural value of a word, bypassing the cache. */
-    Word backingWord(Addr word_addr) const;
 
     /** Apply the committed log onto the home addresses (charged). */
     void garbageCollect();

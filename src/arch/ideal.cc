@@ -9,15 +9,6 @@ IdealArch::IdealArch(const SystemConfig &config, Nvm &nvm_,
 {
 }
 
-std::vector<Word>
-IdealArch::fetchBlock(Addr block_addr)
-{
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = nvm.readWord(block_addr + w * kWordBytes);
-    return data;
-}
-
 void
 IdealArch::violatingWriteback(CacheLine &line)
 {

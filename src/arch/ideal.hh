@@ -28,7 +28,6 @@ class IdealArch : public DominanceArch
     NanoJoules backupCostNowNj() const override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
     void violatingWriteback(CacheLine &line) override;
 };
 

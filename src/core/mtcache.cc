@@ -47,6 +47,16 @@ MapTableCache::lookup(Addr tag)
     return nullptr;
 }
 
+const MtcEntry *
+MapTableCache::peek(Addr tag) const
+{
+    const MtcEntry *e = &slots[setOf(tag) * ways];
+    for (uint32_t w = 0; w < ways; ++w, ++e)
+        if (e->valid && e->tag == tag)
+            return e;
+    return nullptr;
+}
+
 MtcEntry &
 MapTableCache::victim(Addr tag)
 {

@@ -64,6 +64,11 @@ class MapTableCache
     /** Accounted lookup; refreshes LRU on hit, nullptr on miss. */
     MtcEntry *lookup(Addr tag);
 
+    /** Side-effect-free lookup for inspection: the same set index as
+     *  lookup(), but no energy, no LRU refresh and no trace event.
+     *  Returns nullptr when the tag is not cached. */
+    const MtcEntry *peek(Addr tag) const;
+
     /** Choose the fill victim for a tag (invalid way preferred,
      *  else LRU). The caller handles a dirty victim (backup). */
     MtcEntry &victim(Addr tag);

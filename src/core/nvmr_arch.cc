@@ -116,14 +116,10 @@ NvmrArch::resolveMapping(Addr tag)
     return entry ? entry->newMap : tag;
 }
 
-std::vector<Word>
-NvmrArch::fetchBlock(Addr block_addr)
+void
+NvmrArch::fetchBlock(Addr block_addr, std::span<Word> out)
 {
-    Addr src = resolveMapping(block_addr);
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = nvm.readWord(src + w * kWordBytes);
-    return data;
+    IntermittentArch::fetchBlock(resolveMapping(block_addr), out);
 }
 
 // ----------------------------------------------------------------------
@@ -504,17 +500,10 @@ NvmrArch::inspectMapping(Addr addr) const
 {
     Addr block = addr & ~(cfg.cache.blockBytes - 1);
     Addr mapped = block;
-    bool found = false;
-    mtc.forEach([&](const MtcEntry &entry) {
-        if (entry.valid && entry.tag == block) {
-            mapped = entry.newMap;
-            found = true;
-        }
-    });
-    if (!found) {
-        if (auto m = mapTable.peek(block))
-            mapped = *m;
-    }
+    if (const MtcEntry *entry = mtc.peek(block))
+        mapped = entry->newMap;
+    else if (auto m = mapTable.peek(block))
+        mapped = *m;
     return mapped + (addr - block);
 }
 

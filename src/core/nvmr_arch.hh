@@ -59,7 +59,7 @@ class NvmrArch : public DominanceArch
     void restoreState(StateReader &r) override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, std::span<Word> out) override;
     void violatingWriteback(CacheLine &line) override;
     void normalWriteback(CacheLine &line) override;
     Addr inspectMapping(Addr addr) const override;

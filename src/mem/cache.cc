@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace nvmr
@@ -36,12 +38,6 @@ DataCache::DataCache(const CacheConfig &config, const TechParams &params,
     }
 }
 
-uint32_t
-DataCache::setOf(Addr block_addr) const
-{
-    return (block_addr >> blockShift) & setMask;
-}
-
 CacheLine &
 DataCache::victim(Addr block_addr)
 {
@@ -59,7 +55,7 @@ DataCache::victim(Addr block_addr)
 
 void
 DataCache::fill(CacheLine &line, Addr block_addr,
-                const std::vector<Word> &data)
+                std::span<const Word> data)
 {
     panic_if(data.size() != cfg.wordsPerBlock(),
              "fill with wrong block size");
@@ -67,7 +63,8 @@ DataCache::fill(CacheLine &line, Addr block_addr,
     line.valid = true;
     line.markClean();
     line.blockAddr = block_addr;
-    line.data = data;
+    if (data.data() != line.data.data())
+        std::copy(data.begin(), data.end(), line.data.begin());
     line.lbf.assign(cfg.lbfEntries(), WordState::Unknown);
     line.dirtyWordMask = 0;
     line.lruTick = ++tick;

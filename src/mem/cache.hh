@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/log.hh"
@@ -200,8 +201,7 @@ class DataCache
     {
         debug_assert((block_addr & blockMask) == 0,
                      "lookup of unaligned block address ", block_addr);
-        uint32_t set = (block_addr >> blockShift) & setMask;
-        CacheLine *way = &lines[set * cfg.ways];
+        CacheLine *way = &lines[setOf(block_addr) * cfg.ways];
         for (uint32_t w = 0; w < cfg.ways; ++w, ++way) {
             if (way->valid && way->blockAddr == block_addr) {
                 way->lruTick = ++tick;
@@ -214,6 +214,21 @@ class DataCache
     }
 
     /**
+     * Side-effect-free lookup for inspection: the same set index as
+     * lookupUncharged, but no energy, no LRU refresh and no hit/miss
+     * count. Returns nullptr when the block is not cached.
+     */
+    const CacheLine *
+    peek(Addr block_addr) const
+    {
+        const CacheLine *way = &lines[setOf(block_addr) * cfg.ways];
+        for (uint32_t w = 0; w < cfg.ways; ++w, ++way)
+            if (way->valid && way->blockAddr == block_addr)
+                return way;
+        return nullptr;
+    }
+
+    /**
      * Pick the fill victim for a block address: an invalid way if one
      * exists, else the LRU way. Does not modify the line; the caller
      * writes back / invalidates as needed, then calls fill().
@@ -222,11 +237,13 @@ class DataCache
 
     /**
      * Install a block into a line previously obtained from victim().
-     * Data is copied; LBF resets to Unknown; line becomes valid,
-     * clean, LRU-refreshed. Charges one SRAM access.
+     * Data is copied unless it already is the line's own storage (the
+     * miss path fetches straight into the victim); LBF resets to
+     * Unknown; line becomes valid, clean, LRU-refreshed. Charges one
+     * SRAM access.
      */
     void fill(CacheLine &line, Addr block_addr,
-              const std::vector<Word> &data);
+              std::span<const Word> data);
 
     /** Drop a line (no writeback). */
     void invalidate(CacheLine &line);
@@ -292,7 +309,11 @@ class DataCache
     uint32_t blockShift = 0;
     uint32_t setMask = 0;
 
-    uint32_t setOf(Addr block_addr) const;
+    uint32_t
+    setOf(Addr block_addr) const
+    {
+        return (block_addr >> blockShift) & setMask;
+    }
 };
 
 } // namespace nvmr

@@ -285,7 +285,7 @@ ThreadedEngine::session(unsigned &cancel_check)
         s.cap.e = e;
         s.account.pending[size_t(ECat::Forward)] += nj;
         if (e <= s.cap.eDead)
-            throw PowerFailure{}; // checkBrownout: never atomic here
+            throw PowerFailure{}; // brownOut: never atomic here
         if (mt) {
             nj = dn * mtNjPerCycle;
             e = e > nj ? e - nj : 0.0;

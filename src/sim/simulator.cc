@@ -205,23 +205,35 @@ Simulator::categoryFor(bool overhead) const
     }
 }
 
-void
+// Runs several times per simulated instruction (every component
+// charge lands here through consume/consumeOverhead/addCycles), so it
+// is forced inline into those three: Execute mode picks its Forward
+// categories without the categoryFor switch, and only the dead()
+// test stays on the path. The order (drain, ledger add, dead() test)
+// is part of the bit-identity contract.
+#if defined(__GNUC__)
+[[gnu::always_inline]]
+#endif
+inline void
 Simulator::applyEnergy(NanoJoules nj, bool overhead)
 {
     cap.drainNj(nj);
-    ECat cat = categoryFor(overhead);
     if (mode == EMode::Execute)
-        account.spendPending(cat, nj);
+        account.spendPending(overhead ? ECat::ForwardOverhead
+                                      : ECat::Forward,
+                             nj);
     else
-        account.spendCommitted(cat, nj);
-    checkBrownout();
+        account.spendCommitted(categoryFor(overhead), nj);
+    if (cap.dead())
+        brownOut();
 }
 
+#if defined(__GNUC__)
+[[gnu::cold, gnu::noinline]]
+#endif
 void
-Simulator::checkBrownout()
+Simulator::brownOut()
 {
-    if (!cap.dead())
-        return;
     // A brown-out inside an atomic section used to be fatal; with
     // partial persists modeled it is just another torn backup the
     // recovery protocol handles. --strict-atomic restores the old
@@ -498,7 +510,7 @@ void
 Simulator::handlePowerFailure()
 {
     // Under --strict-atomic any power loss inside an atomic section
-    // -- a genuine brown-out (already fatal in checkBrownout) or an
+    // -- a genuine brown-out (already fatal in brownOut) or an
     // injected crash -- is the old fatal error.
     panic_if(inAtomic && cfg.strictAtomic,
              "power failure inside an atomic operation "

@@ -323,8 +323,12 @@ class Simulator : public EnergySink, public BackupHost
     double harvestMwNow();
 
     void applyEnergy(NanoJoules nj, bool overhead);
-    void checkBrownout();
     ECat categoryFor(bool overhead) const;
+
+    /** The capacitor browned out: throw PowerFailure (or panic under
+     *  --strict-atomic inside an atomic section). Out of line and
+     *  cold so the inlined charge paths keep only the dead() test. */
+    [[noreturn]] void brownOut();
 
     /** Clear snapPending and invoke the sink (out of line so the
      *  engines' hot loops only pay a predictable not-taken branch). */
