@@ -13,6 +13,8 @@ CollectingSnapshotSink::onSnapshotPoint(Simulator &sim)
         return;
     if (cap && snapshots.size() >= cap)
         return;
+    if (sim.faultInjector().backupWindows().size() > maxWindows)
+        return;
     snapshots.push_back(
         std::make_shared<MachineSnapshot>(sim.captureSnapshot()));
 }

@@ -61,9 +61,23 @@ class SnapshotSink
 class CollectingSnapshotSink : public SnapshotSink
 {
   public:
+    /** No window bound: capture through the whole run. */
+    static constexpr uint64_t kAllWindows = UINT64_MAX;
+
+    /**
+     * @param stride_ capture every Nth safe point (0 acts as 1)
+     * @param cap_ keep at most this many snapshots (0 = unbounded)
+     * @param max_windows_ stop capturing once the fault injector has
+     *        recorded more than this many backup windows; a crash
+     *        explorer that only probes the first N windows never
+     *        forks from a later snapshot. Needs the fault layer on
+     *        (RunOptions::faults.enabled), which records the windows.
+     */
     explicit CollectingSnapshotSink(uint64_t stride_ = 1,
-                                    size_t cap_ = 0)
-        : stride(stride_ ? stride_ : 1), cap(cap_)
+                                    size_t cap_ = 0,
+                                    uint64_t max_windows_ = kAllWindows)
+        : stride(stride_ ? stride_ : 1), cap(cap_),
+          maxWindows(max_windows_)
     {}
 
     void onSnapshotPoint(Simulator &sim) override;
@@ -76,6 +90,7 @@ class CollectingSnapshotSink : public SnapshotSink
   private:
     uint64_t stride;
     size_t cap; // 0 = unbounded
+    uint64_t maxWindows;
 };
 
 } // namespace nvmr

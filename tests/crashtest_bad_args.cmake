@@ -1,0 +1,60 @@
+# nvmr_crashtest must refuse a malformed count instead of reading it
+# as 0 (a "passed: 0 crash points" vacuous pass for --max-backups, a
+# silent stride of 1, "all cores" for --jobs): every bad value below
+# has to die with fatal (exit 2, kExitUsage) and print nothing on
+# stdout. `--jobs 0` keeps its documented "all cores" meaning and
+# must still run. Invoked by the `crashtest-bad-args` ctest:
+#
+#   cmake -DCRASHTEST=... -P crashtest_bad_args.cmake
+
+if(NOT DEFINED CRASHTEST)
+    message(FATAL_ERROR "pass -DCRASHTEST=... (see tests/CMakeLists.txt)")
+endif()
+
+# One tiny combination: a single crash point when it runs at all.
+set(tiny -w hist -a nvmr --max-backups 1 --stride 1000
+    --cycle-samples 0)
+foreach(bad
+        "--max-backups;abc"
+        "--max-backups;-1"
+        "--stride;x"
+        "--stride;4x"
+        "--cycle-samples;+3"
+        "--seed;1.5"
+        "--snap-stride;abc"
+        "--verify-fork;two"
+        "--jobs;banana"
+        "--jobs;99999999999"
+        "--threads;-2")
+    execute_process(
+        COMMAND "${CRASHTEST}" ${tiny} ${bad}
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    string(REPLACE ";" " " bad "${bad}")
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+                "nvmr_crashtest ${bad} exited with ${rc}, expected 2:\n"
+                "${out}${err}")
+    endif()
+    if(NOT out STREQUAL "")
+        message(FATAL_ERROR "nvmr_crashtest ${bad} printed:\n${out}")
+    endif()
+    if(NOT err MATCHES "fatal: ")
+        message(FATAL_ERROR
+                "nvmr_crashtest ${bad} gave no reason:\n${err}")
+    endif()
+endforeach()
+
+execute_process(
+    COMMAND "${CRASHTEST}" ${tiny} --jobs 0
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "crashtest passed: 1 crash points")
+    message(FATAL_ERROR
+            "nvmr_crashtest --jobs 0 exited with ${rc}:\n${out}${err}")
+endif()
+
+message(STATUS "crashtest-bad-args: every malformed count rejected "
+               "with exit 2; --jobs 0 still runs")

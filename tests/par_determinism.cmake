@@ -3,10 +3,10 @@
 # byte-identical stdout and stats JSON whatever the worker count.
 # Invoked by the `par-determinism` ctest with the tool paths:
 #
-#   cmake -DSWEEP=... -DFUZZ=... -DDIFF=... -DWORKDIR=... \
-#         -P par_determinism.cmake
+#   cmake -DSWEEP=... -DFUZZ=... -DDIFF=... -DCRASHTEST=... \
+#         -DWORKDIR=... -P par_determinism.cmake
 
-foreach(var SWEEP FUZZ DIFF WORKDIR)
+foreach(var SWEEP FUZZ DIFF CRASHTEST WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
     endif()
@@ -47,3 +47,6 @@ endfunction()
 run_case(sweep "${SWEEP}" --workloads hist --traces 2)
 run_case(fuzz "${FUZZ}" --oracle 6)
 run_case(diff "${DIFF}" --smoke)
+# Both crashtest stages span every combination, so cells of different
+# combinations interleave across workers; the report must not notice.
+run_case(crashtest "${CRASHTEST}" --smoke -v)

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +37,17 @@ struct InspectCase
     ArchKind arch;
     bool reclaimSmallMtc = false;
 };
+
+/**
+ * gtest's default printer dumps the struct's bytes, std::string's data
+ * pointer included, and ctest test names carry that printout: without
+ * this the names change from build to build.
+ */
+void
+PrintTo(const InspectCase &c, std::ostream *os)
+{
+    *os << archKindName(c.arch);
+}
 
 SystemConfig
 configFor(const InspectCase &c)

@@ -338,6 +338,48 @@ TEST(SnapshotSim, CollectingSinkStrideAndCap)
     }
 }
 
+TEST(SnapshotSim, CollectingSinkStopsAfterWindowBound)
+{
+    Program prog = assembleWorkload("hist");
+    SystemConfig cfg;
+    JitPolicy jit;
+    HarvestTrace trace(TraceKind::Rf, 7, 8.0);
+
+    RunOptions opts;
+    opts.validate = false;
+    opts.faults.enabled = true; // records the backup windows
+    CollectingSnapshotSink all(1);
+    opts.snapshots = &all;
+    std::vector<FaultInjector::BackupWindow> windows;
+    {
+        Simulator sim(prog, ArchKind::Nvmr, cfg, jit, trace, opts);
+        ASSERT_TRUE(sim.run().completed);
+        windows = sim.faultInjector().backupWindows();
+    }
+    constexpr uint64_t kMax = 2;
+    ASSERT_GT(windows.size(), kMax + 1);
+
+    CollectingSnapshotSink bounded(1, 0, kMax);
+    opts.snapshots = &bounded;
+    Simulator sim(prog, ArchKind::Nvmr, cfg, jit, trace, opts);
+    ASSERT_TRUE(sim.run().completed);
+
+    // The bound keeps a non-empty prefix of the unbounded capture,
+    // still counts every safe point, and stops at the first safe
+    // point past the kMax-th window.
+    EXPECT_EQ(bounded.pointsSeen, all.pointsSeen);
+    ASSERT_GE(bounded.snapshots.size(), 1u);
+    ASSERT_LT(bounded.snapshots.size(), all.snapshots.size());
+    for (size_t i = 0; i < bounded.snapshots.size(); ++i) {
+        EXPECT_EQ(bounded.snapshots[i]->totalCycles,
+                  all.snapshots[i]->totalCycles);
+        EXPECT_LE(bounded.snapshots[i]->persistCount,
+                  windows[kMax - 1].lastPersist);
+    }
+    EXPECT_GE(all.snapshots[bounded.snapshots.size()]->persistCount,
+              windows[kMax].lastPersist);
+}
+
 TEST(SnapshotSim, ForkResumesByteIdentical)
 {
     Program prog = assembleWorkload("dwt");

@@ -9,6 +9,9 @@
 #ifndef NVMR_TOOLS_CLI_HH
 #define NVMR_TOOLS_CLI_HH
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -42,6 +45,25 @@ handleJobsArg(int argc, char **argv, int &i)
         fatal("missing value for --jobs");
     par::setGlobalJobs(par::parseJobsValue(argv[++i]));
     return true;
+}
+
+/**
+ * Parse the value of a count flag (`--stride 4`): a whole decimal
+ * number with no sign, no trailing text and no overflow. Anything
+ * else dies with fatal (exit 2) instead of silently becoming 0, so a
+ * typo cannot turn a campaign into a vacuous pass.
+ */
+inline uint64_t
+parseCount(const char *flag, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    uint64_t v = std::strtoull(text, &end, 10);
+    fatal_if(!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                 *end != '\0' || errno == ERANGE,
+             "bad ", flag, " value '", text,
+             "' (need a whole number)");
+    return v;
 }
 
 /**

@@ -11,10 +11,12 @@
  *
  * Each crash run forks from the latest snapshot preceding its crash
  * point instead of re-executing the whole prefix, turning the sweep
- * from O(points x trace) into O(trace + points x window). Forked
- * runs are byte-identical to from-scratch runs (--verify-fork and
- * the snapshot-equivalence ctest enforce this), so findings,
- * journals, and manifests are unchanged by the optimization.
+ * from O(points x trace) into O(trace + points x window). The census
+ * stops capturing once it has passed the N explored backup windows,
+ * so it keeps only snapshots some point can fork from. Forked runs
+ * are byte-identical to from-scratch runs (--verify-fork and the
+ * snapshot-equivalence ctest enforce this), so findings and point
+ * outcomes are unchanged by the optimization.
  *
  *     nvmr_crashtest                       # full sweep, 50 backups
  *     nvmr_crashtest --smoke               # <30 s fixed-seed subset
@@ -24,21 +26,28 @@
  *     nvmr_crashtest --no-fork             # legacy from-scratch runs
  *     nvmr_crashtest --journal c.jrn       # checkpoint; --resume
  *
- * The (workload, arch) census and crash-point cells run through the
- * campaign layer (docs/operations.md). Unlike the fuzzer, point
- * failures ARE journaled -- a stuck or divergent crash point is a
- * finding, the sweep keeps going and reports it in the summary -- so
- * a resumed sweep replays recorded findings instead of re-running
- * their cells.
+ * The whole campaign is two stages of the campaign layer
+ * (docs/operations.md): every combination's census, then every
+ * combination's crash points, so all workers stay busy across
+ * combinations. Verification and reporting follow on the main
+ * thread in canonical (workload, arch) order. Unlike the fuzzer,
+ * point failures ARE journaled -- a stuck or divergent crash point
+ * is a finding, the sweep keeps going and reports it in the summary
+ * -- so a resumed sweep replays recorded findings instead of
+ * re-running their cells.
  */
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign/blob.hh"
 #include "campaign/campaign.hh"
 #include "campaign/cellio.hh"
 #include "campaign/sig.hh"
@@ -69,7 +78,6 @@ struct Options
     uint64_t snapStride = 4;   ///< snapshot every Nth safe point
     uint64_t verifyFork = 0;   ///< cross-check N forked runs / combo
     bool noFork = false;       ///< from-scratch runs (A/B, benches)
-    unsigned jobs = 0; ///< 0 = engine default (NVMR_JOBS / cores)
     bool verbose = false;
     std::string statsJsonPath;
 };
@@ -93,7 +101,9 @@ usage()
         "  --seed N              seed for the cycle sampling "
         "(default 1)\n"
         "  --snap-stride N       snapshot every Nth safe point "
-        "(default 4)\n"
+        "(default 4),\n"
+        "                        until the census passes the "
+        "explored backups\n"
         "  --verify-fork N       re-run N forked points per combo "
         "from\n"
         "                        scratch and require bit-identity\n"
@@ -142,10 +152,9 @@ splitList(const char *arg)
     return out;
 }
 
-/** The platform every crash run uses: the default system with small
- *  NvMR structures (more metadata traffic per backup, so the crash
- *  points cover map-table and free-list updates) and a watchdog
- *  policy so backups come at a steady cadence. */
+/** The system every crash run simulates: the default system with
+ *  small NvMR structures (more metadata traffic per backup, so the
+ *  crash points cover map-table and free-list updates). */
 SystemConfig
 crashConfig()
 {
@@ -157,31 +166,67 @@ crashConfig()
     return cfg;
 }
 
+/** What every crash run shares, built once per campaign and read
+ *  concurrently by the workers: the system, a watchdog policy spec
+ *  (backups at a steady cadence) and the harvest trace. Each run
+ *  builds its own policy from the spec, since policies carry run
+ *  state. */
+struct CrashPlatform
+{
+    SystemConfig cfg = crashConfig();
+    PolicySpec policy{PolicyKind::Watchdog, 4000};
+    HarvestTrace trace{TraceKind::Rf, 7, 8.0};
+};
+
+/** The census run: fault layer on, nothing armed. Records the
+ *  persist-boundary window of every backup and, given a sink,
+ *  captures the fork snapshots (a sink never charges energy or
+ *  cycles, so the census is unchanged by it). */
+CensusResult
+runCensus(const CrashPlatform &plat, const Program &prog, ArchKind arch,
+          const GoldenResult &golden, SnapshotSink *sink,
+          uint64_t budget_cycles, const std::string &tag)
+{
+    RunOptions opts;
+    opts.validate = false;
+    opts.faults.enabled = true;
+    opts.snapshots = sink;
+    if (budget_cycles)
+        opts.maxCycles = budget_cycles;
+    auto policy = makePolicy(plat.policy);
+    Simulator sim(prog, arch, plat.cfg, *policy, plat.trace, opts);
+    RunResult r = sim.run();
+    if (budget_cycles && !r.completed)
+        throw campaign::CellTimeout{tag + " census exceeded " +
+                                    std::to_string(budget_cycles) +
+                                    " cycles"};
+    CensusResult c;
+    c.completed = r.completed && sim.validateAgainstGolden(golden);
+    c.totalCycles = r.totalCycles;
+    c.windows = sim.faultInjector().backupWindows();
+    return c;
+}
+
 RunResult
-runOnce(const Program &prog, ArchKind arch, const FaultConfig &faults,
-        const GoldenResult &golden, bool *matched,
-        uint64_t budget_cycles = 0,
+runOnce(const CrashPlatform &plat, const Program &prog, ArchKind arch,
+        const FaultConfig &faults, const GoldenResult &golden,
+        bool *matched, uint64_t budget_cycles = 0,
         const MachineSnapshot *from = nullptr,
         std::vector<uint8_t> *image_out = nullptr)
 {
-    SystemConfig cfg = crashConfig();
-    PolicySpec spec;
-    spec.kind = PolicyKind::Watchdog;
-    spec.watchdogPeriod = 4000;
-    auto policy = makePolicy(spec);
-    HarvestTrace trace(TraceKind::Rf, 7, 8.0);
     RunOptions opts;
     opts.validate = false;
     opts.faults = faults;
     opts.resumeFrom = from;
     if (budget_cycles)
         opts.maxCycles = budget_cycles;
-    Simulator sim(prog, arch, cfg, *policy, trace, opts);
+    auto policy = makePolicy(plat.policy);
+    Simulator sim(prog, arch, plat.cfg, *policy, plat.trace, opts);
     RunResult r = sim.run();
     *matched = r.completed && sim.validateAgainstGolden(golden);
     if (image_out) {
-        image_out->resize(cfg.nvmBytes);
-        for (uint32_t b = 0; b < cfg.nvmBytes; ++b)
+        image_out->resize(plat.cfg.nvmBytes);
+        for (uint32_t b = 0; b < plat.cfg.nvmBytes; ++b)
             (*image_out)[b] = sim.nvmRef().peekByte(b);
     }
     return r;
@@ -193,6 +238,40 @@ struct CrashPoint
     uint64_t persist = 0; ///< 1-based persist boundary, 0 = unused
     uint64_t cycle = 0;   ///< absolute cycle, 0 = unused
 };
+
+/** Crash-point list of one combination: every (strided) persist
+ *  boundary of the first maxBackups backups, plus sampled raw
+ *  cycles. Derived deterministically from the census, so a resume
+ *  regenerates the identical list. */
+std::vector<CrashPoint>
+crashPoints(const CensusResult &census, ArchKind arch,
+            const Options &opt)
+{
+    std::vector<CrashPoint> points;
+    uint64_t nwin =
+        std::min<uint64_t>(census.windows.size(), opt.maxBackups);
+    for (uint64_t i = 0; i < nwin; ++i) {
+        for (uint64_t p = census.windows[i].firstPersist;
+             p <= census.windows[i].lastPersist; p += opt.stride)
+            points.push_back(CrashPoint{p, 0});
+    }
+    XorShift rng(opt.seed + static_cast<uint64_t>(arch) * 131);
+    for (uint64_t i = 0; i < opt.cycleSamples; ++i) {
+        uint64_t c = 1 + rng.next() % (census.totalCycles + 1);
+        points.push_back(CrashPoint{0, c});
+    }
+    return points;
+}
+
+/** Snapshot capture for one combination's census. Every persist
+ *  point lies in the first maxBackups backup windows, so capture
+ *  stops once the census has passed them; cycle samples beyond fork
+ *  from the latest snapshot kept. */
+CollectingSnapshotSink
+forkSink(const Options &opt)
+{
+    return CollectingSnapshotSink(opt.snapStride, 0, opt.maxBackups);
+}
 
 /** The latest snapshot strictly before the crash point (so the
  *  armed crash still fires in the fork); null -> run from scratch. */
@@ -238,6 +317,37 @@ sameRun(const RunResult &a, const RunResult &b)
            a.eccUncorrectable == b.eccUncorrectable;
 }
 
+/** A census cell's journal payload: the census plus the capture
+ *  summary the manifest reports, so a resumed campaign reports it
+ *  without capturing again. */
+struct CensusCell
+{
+    CensusResult census;
+    uint64_t snapshots = 0; ///< snapshots the census kept
+    uint64_t forked = 0;    ///< crash points with a snapshot to fork
+};
+
+std::string
+encodeCensusCell(const CensusCell &c)
+{
+    campaign::BlobWriter w;
+    w.str(campaign::encodeCensus(c.census));
+    w.u64(c.snapshots);
+    w.u64(c.forked);
+    return w.take();
+}
+
+bool
+decodeCensusCell(const std::string &bytes, CensusCell &c)
+{
+    campaign::BlobReader r(bytes);
+    std::string census = r.str();
+    c.snapshots = r.u64();
+    c.forked = r.u64();
+    return r.ok() && r.atEnd() &&
+           campaign::decodeCensus(census, c.census);
+}
+
 struct ComboReport
 {
     uint64_t points = 0;
@@ -248,247 +358,90 @@ struct ComboReport
     uint64_t forkDivergent = 0; ///< forks not bit-identical to scratch
 };
 
-bool
-exploreCombo(campaign::Campaign &cam, const std::string &workload,
-             ArchKind arch, const Options &opt, ComboReport &report)
+/** One workload x arch combination across both campaign stages. */
+struct Combo
 {
-    std::string tag = workload + "/" + archKindName(arch);
-    std::string census_stage = tag + "/census";
-    std::string points_stage = tag + "/points";
-
-    // The program and its golden run are only needed when some cell
-    // still has to execute; a fully-journaled combo skips both. They
-    // are always prepared on the main thread (workers must not race
-    // the assembler caches).
-    Program prog;
-    std::shared_ptr<const GoldenResult> golden;
-    bool have_prog = false;
-    auto ensureProg = [&]() {
-        if (have_prog)
-            return;
-        prog = assembleWorkload(workload);
-        golden = goldenRun(prog);
-        fatal_if(!golden->halted, "golden run of ", workload,
-                 " did not halt");
-        have_prog = true;
-    };
-
-    // Census cell: fault layer on, nothing armed. Records the
-    // persist-boundary window of every backup and doubles as the
-    // fork-snapshot reference pass (the sink never charges energy or
-    // cycles, so the journaled census is unchanged by it). A census
-    // that cannot complete cleanly is a finding like any other, so
-    // it IS journaled (completed=false) and the combo fails without
-    // aborting the sweep.
-    CollectingSnapshotSink snapSink(opt.snapStride);
-    if (!cam.cellDone(census_stage, 0))
-        ensureProg();
-    auto census_cells = cam.runStage(
-        census_stage, 1,
-        [&](const campaign::CellContext &ctx)
-            -> std::optional<std::string> {
-            SystemConfig cfg = crashConfig();
-            PolicySpec spec;
-            spec.kind = PolicyKind::Watchdog;
-            spec.watchdogPeriod = 4000;
-            auto policy = makePolicy(spec);
-            HarvestTrace trace(TraceKind::Rf, 7, 8.0);
-            RunOptions opts;
-            opts.validate = false;
-            FaultConfig census_faults;
-            census_faults.enabled = true;
-            opts.faults = census_faults;
-            if (!opt.noFork) {
-                // Quarantine retries re-enter this cell: restart the
-                // collection rather than appending to a stale one.
-                snapSink.snapshots.clear();
-                snapSink.pointsSeen = 0;
-                opts.snapshots = &snapSink;
-            }
-            if (ctx.budgetCycles)
-                opts.maxCycles = ctx.budgetCycles;
-            Simulator sim(prog, arch, cfg, *policy, trace, opts);
-            RunResult r = sim.run();
-            if (ctx.budgetCycles && !r.completed)
-                throw campaign::CellTimeout{
-                    tag + " census exceeded " +
-                    std::to_string(ctx.budgetCycles) + " cycles"};
-            CensusResult c;
-            c.completed = r.completed &&
-                          sim.validateAgainstGolden(*golden);
-            c.totalCycles = r.totalCycles;
-            c.windows = sim.faultInjector().backupWindows();
-            return campaign::encodeCensus(c);
-        });
-    if (census_cells[0].status == campaign::CellStatus::Skipped ||
-        census_cells[0].status == campaign::CellStatus::Quarantined)
-        return true; // interrupted / reported via quarantine list
-    CensusResult census;
-    fatal_if(!campaign::decodeCensus(census_cells[0].payload, census),
-             "corrupt journal payload for ", census_stage);
-    if (!census.completed) {
-        std::printf("FAILURE: %s/%s census run did not complete "
-                    "cleanly\n",
-                    workload.c_str(), archKindName(arch));
-        return false;
-    }
-
-    // Crash-point list: every (strided) persist boundary of the
-    // first maxBackups backups, plus sampled raw cycles. Derived
-    // deterministically from the census, so a resume regenerates the
-    // identical list.
+    size_t workload = 0; ///< index into Options::workloads
+    ArchKind arch = ArchKind::Nvmr;
+    std::string tag; ///< "workload/arch", for messages
+    CensusCell census;
     std::vector<CrashPoint> points;
-    uint64_t nwin =
-        std::min<uint64_t>(census.windows.size(), opt.maxBackups);
-    for (uint64_t i = 0; i < nwin; ++i) {
-        for (uint64_t p = census.windows[i].firstPersist;
-             p <= census.windows[i].lastPersist; p += opt.stride)
-            points.push_back(CrashPoint{p, 0});
+    uint64_t firstPoint = 0; ///< global points-stage index of points[0]
+    std::vector<SnapshotPtr> snaps; ///< fork sources, capture order
+};
+
+/** --verify-fork: re-run the first N forkable points of the combo
+ *  from scratch and require run-stat and final-NVM-image
+ *  bit-identity with the fork. */
+void
+verifyForks(campaign::Campaign &cam, const CrashPlatform &plat,
+            const Program &prog, const GoldenResult &golden,
+            const Combo &cb, const Options &opt, ComboReport &report)
+{
+    const std::string &workload = opt.workloads[cb.workload];
+    for (size_t idx = 0; idx < cb.points.size() &&
+                         report.forkVerified < opt.verifyFork &&
+                         !cam.interrupted();
+         ++idx) {
+        const CrashPoint &cp = cb.points[idx];
+        const MachineSnapshot *from = nearestSnapshot(cb.snaps, cp);
+        if (!from)
+            continue; // point precedes the first snapshot
+        FaultConfig faults;
+        faults.enabled = true;
+        faults.crashAtPersist = cp.persist;
+        faults.crashAtCycle = cp.cycle;
+        bool m_fork = false, m_scratch = false;
+        std::vector<uint8_t> img_fork, img_scratch;
+        RunResult r_fork = runOnce(plat, prog, cb.arch, faults, golden,
+                                   &m_fork, 0, from, &img_fork);
+        RunResult r_scratch = runOnce(plat, prog, cb.arch, faults,
+                                      golden, &m_scratch, 0, nullptr,
+                                      &img_scratch);
+        ++report.forkVerified;
+        if (sameRun(r_fork, r_scratch) && m_fork == m_scratch &&
+            img_fork == img_scratch)
+            continue;
+        ++report.forkDivergent;
+        std::printf(
+            "FAILURE: %s/%s fork diverged from scratch at %s "
+            "%llu\nrepro: nvmr_crashtest -w %s -a %s "
+            "--max-backups %llu --stride %llu --cycle-samples "
+            "%llu --seed %llu --snap-stride %llu "
+            "--verify-fork %llu\n",
+            workload.c_str(), archKindName(cb.arch),
+            cp.persist ? "persist" : "cycle",
+            static_cast<unsigned long long>(cp.persist ? cp.persist
+                                                       : cp.cycle),
+            workload.c_str(), archKindName(cb.arch),
+            static_cast<unsigned long long>(opt.maxBackups),
+            static_cast<unsigned long long>(opt.stride),
+            static_cast<unsigned long long>(opt.cycleSamples),
+            static_cast<unsigned long long>(opt.seed),
+            static_cast<unsigned long long>(opt.snapStride),
+            static_cast<unsigned long long>(idx + 1));
     }
-    XorShift rng(opt.seed + static_cast<uint64_t>(arch) * 131);
-    for (uint64_t i = 0; i < opt.cycleSamples; ++i) {
-        uint64_t c = 1 + rng.next() % (census.totalCycles + 1);
-        points.push_back(CrashPoint{0, c});
-    }
+}
 
-    report.points = points.size();
-
-    bool any_fresh = false;
-    for (size_t i = 0; i < points.size() && !any_fresh; ++i)
-        any_fresh = !cam.cellDone(points_stage, i);
-    if (any_fresh)
-        ensureProg();
-
-    bool want_verify = opt.verifyFork > 0 && !opt.noFork;
-
-    // Fork snapshots. A fresh sweep collected them during the census
-    // cell above; a --resume'd sweep skipped that cell (the census
-    // itself comes back from the journal), so re-derive them with a
-    // local, un-journaled reference run -- and only when some point
-    // still has to execute. A fully-journaled combo replays findings
-    // without simulating anything.
-    std::vector<SnapshotPtr> snaps = std::move(snapSink.snapshots);
-    if (!opt.noFork && (any_fresh || want_verify) && snaps.empty()) {
-        ensureProg();
-        SystemConfig cfg = crashConfig();
-        PolicySpec spec;
-        spec.kind = PolicyKind::Watchdog;
-        spec.watchdogPeriod = 4000;
-        auto policy = makePolicy(spec);
-        HarvestTrace trace(TraceKind::Rf, 7, 8.0);
-        RunOptions opts;
-        opts.validate = false;
-        FaultConfig ref_faults;
-        ref_faults.enabled = true;
-        opts.faults = ref_faults;
-        CollectingSnapshotSink refSink(opt.snapStride);
-        opts.snapshots = &refSink;
-        Simulator sim(prog, arch, cfg, *policy, trace, opts);
-        RunResult r = sim.run();
-        fatal_if(!r.completed,
-                 "reference run of ", tag,
-                 " did not complete, but its journaled census did");
-        snaps = std::move(refSink.snapshots);
-    }
-
-    // Fan the crash points across the engine; workers only simulate.
-    // Each point forks from the latest snapshot preceding its crash
-    // point (snapshots are immutable and COW-shared, so concurrent
-    // forks are safe) and journals a 1-byte outcome (crashed/
-    // completed/matched flags) -- byte-identical to what a
-    // from-scratch run journals, so journals transfer between forked
-    // and --no-fork sweeps. The gathered outcomes are scanned in
-    // point order afterwards, so failure lines come out in a
-    // deterministic order whatever the worker count.
-    auto results = cam.runStage(
-        points_stage, points.size(),
-        [&](const campaign::CellContext &ctx)
-            -> std::optional<std::string> {
-            const CrashPoint &cp = points[ctx.index];
-            FaultConfig faults;
-            faults.enabled = true;
-            faults.crashAtPersist = cp.persist;
-            faults.crashAtCycle = cp.cycle;
-            bool matched = false;
-            const MachineSnapshot *from =
-                nearestSnapshot(snaps, cp);
-            RunResult r = runOnce(prog, arch, faults, *golden,
-                                  &matched, ctx.budgetCycles, from);
-            if (ctx.budgetCycles && !r.completed)
-                throw campaign::CellTimeout{
-                    tag + " point " + std::to_string(ctx.index) +
-                    " exceeded " + std::to_string(ctx.budgetCycles) +
-                    " cycles"};
-            char flags =
-                static_cast<char>((r.injectedCrashes > 0 ? 1 : 0) |
-                                  (r.completed ? 2 : 0) |
-                                  (matched ? 4 : 0));
-            return std::string(1, flags);
-        });
-
-    // --verify-fork: re-run the first N forkable points of the combo
-    // from scratch (main thread; deterministic order) and require
-    // run-stat and final-NVM-image bit-identity with the fork.
-    uint64_t verified = 0;
-    if (want_verify && !snaps.empty()) {
-        for (size_t idx = 0;
-             idx < points.size() && verified < opt.verifyFork &&
-             !cam.interrupted();
-             ++idx) {
-            const CrashPoint &cp = points[idx];
-            const MachineSnapshot *from = nearestSnapshot(snaps, cp);
-            if (!from)
-                continue; // point precedes the first snapshot
-            FaultConfig faults;
-            faults.enabled = true;
-            faults.crashAtPersist = cp.persist;
-            faults.crashAtCycle = cp.cycle;
-            bool m_fork = false, m_scratch = false;
-            std::vector<uint8_t> img_fork, img_scratch;
-            RunResult r_fork = runOnce(prog, arch, faults, *golden,
-                                       &m_fork, 0, from, &img_fork);
-            RunResult r_scratch =
-                runOnce(prog, arch, faults, *golden, &m_scratch, 0,
-                        nullptr, &img_scratch);
-            ++verified;
-            if (sameRun(r_fork, r_scratch) &&
-                m_fork == m_scratch && img_fork == img_scratch)
-                continue;
-            ++report.forkDivergent;
-            std::printf(
-                "FAILURE: %s/%s fork diverged from scratch at %s "
-                "%llu\nrepro: nvmr_crashtest -w %s -a %s "
-                "--max-backups %llu --stride %llu --cycle-samples "
-                "%llu --seed %llu --snap-stride %llu "
-                "--verify-fork %llu\n",
-                workload.c_str(), archKindName(arch),
-                cp.persist ? "persist" : "cycle",
-                static_cast<unsigned long long>(
-                    cp.persist ? cp.persist : cp.cycle),
-                workload.c_str(), archKindName(arch),
-                static_cast<unsigned long long>(opt.maxBackups),
-                static_cast<unsigned long long>(opt.stride),
-                static_cast<unsigned long long>(opt.cycleSamples),
-                static_cast<unsigned long long>(opt.seed),
-                static_cast<unsigned long long>(opt.snapStride),
-                static_cast<unsigned long long>(idx + 1));
-        }
-        report.forkVerified = verified;
-    }
-
-    for (size_t idx = 0; idx < points.size(); ++idx) {
-        if (results[idx].status == campaign::CellStatus::Skipped ||
-            results[idx].status == campaign::CellStatus::Quarantined)
-            continue; // interrupted / reported via quarantine list
-        const CrashPoint &cp = points[idx];
-        char flags =
-            results[idx].payload.empty() ? 0 : results[idx].payload[0];
+/** Tally a combo's point outcomes (1-byte flags: crashed / completed
+ *  / matched) in point order, printing each failure. */
+void
+tallyPoints(const std::vector<campaign::CellResult> &results,
+            const Combo &cb, const Options &opt, ComboReport &report)
+{
+    const char *workload = opt.workloads[cb.workload].c_str();
+    for (size_t idx = 0; idx < cb.points.size(); ++idx) {
+        const campaign::CellResult &res = results[cb.firstPoint + idx];
+        if (res.status == campaign::CellStatus::Quarantined)
+            continue; // reported via the quarantine list
+        const CrashPoint &cp = cb.points[idx];
+        char flags = res.payload.empty() ? 0 : res.payload[0];
         if (flags & 1)
             ++report.crashed;
         if (!(flags & 2)) {
             ++report.stuck;
             std::printf("FAILURE: %s/%s stuck with crash at %s %llu\n",
-                        workload.c_str(), archKindName(arch),
+                        workload, archKindName(cb.arch),
                         cp.persist ? "persist" : "cycle",
                         static_cast<unsigned long long>(
                             cp.persist ? cp.persist : cp.cycle));
@@ -496,14 +449,12 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             ++report.divergent;
             std::printf("FAILURE: %s/%s diverged with crash at "
                         "%s %llu\n",
-                        workload.c_str(), archKindName(arch),
+                        workload, archKindName(cb.arch),
                         cp.persist ? "persist" : "cycle",
                         static_cast<unsigned long long>(
                             cp.persist ? cp.persist : cp.cycle));
         }
     }
-    return report.divergent == 0 && report.stuck == 0 &&
-           report.forkDivergent == 0;
 }
 
 } // namespace
@@ -540,27 +491,28 @@ main(int argc, char **argv)
             for (const std::string &n : splitList(need(i)))
                 opt.archs.push_back(parseArch(n));
         } else if (a == "--max-backups") {
-            opt.maxBackups = std::strtoull(need(i), nullptr, 10);
+            opt.maxBackups = cli::parseCount(a.c_str(), need(i));
         } else if (a == "--stride") {
             opt.stride = std::max<uint64_t>(
-                1, std::strtoull(need(i), nullptr, 10));
+                1, cli::parseCount(a.c_str(), need(i)));
         } else if (a == "--cycle-samples") {
-            opt.cycleSamples = std::strtoull(need(i), nullptr, 10);
+            opt.cycleSamples = cli::parseCount(a.c_str(), need(i));
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i), nullptr, 10);
+            opt.seed = cli::parseCount(a.c_str(), need(i));
         } else if (a == "--snap-stride") {
             opt.snapStride = std::max<uint64_t>(
-                1, std::strtoull(need(i), nullptr, 10));
+                1, cli::parseCount(a.c_str(), need(i)));
         } else if (a == "--verify-fork") {
-            opt.verifyFork = std::strtoull(need(i), nullptr, 10);
+            opt.verifyFork = cli::parseCount(a.c_str(), need(i));
         } else if (a == "--no-fork") {
             opt.noFork = true;
         } else if (a == "--jobs" || a == "--threads") {
             // --threads predates the engine; 0 keeps the old
             // "use all cores" meaning (the engine's default).
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
-            par::setGlobalJobs(opt.jobs);
+            const char *v = need(i);
+            uint64_t jobs = cli::parseCount(a.c_str(), v);
+            fatal_if(jobs > UINT_MAX, "bad ", a, " value '", v, "'");
+            par::setGlobalJobs(static_cast<unsigned>(jobs));
         } else if (a == "--smoke") {
             opt.workloads = {"hist", "qsort"};
             opt.maxBackups = 5;
@@ -584,7 +536,12 @@ main(int argc, char **argv)
         for (const WorkloadInfo &w : allWorkloads())
             opt.workloads.push_back(w.name);
 
-    std::string config_spec = "crashtest|workloads=";
+    // The stage names are part of the spec, so a journal keyed by
+    // another stage layout (one census and one points stage per
+    // combination) fails the config-hash check on --resume instead of
+    // silently re-running everything. The snapshot stride (0 with
+    // --no-fork) shapes the journaled capture summary.
+    std::string config_spec = "crashtest|stages=census,points|workloads=";
     for (size_t i = 0; i < opt.workloads.size(); ++i) {
         if (i)
             config_spec += ',';
@@ -600,7 +557,9 @@ main(int argc, char **argv)
                    "|stride=" + std::to_string(opt.stride) +
                    "|cycle_samples=" +
                    std::to_string(opt.cycleSamples) +
-                   "|seed=" + std::to_string(opt.seed);
+                   "|seed=" + std::to_string(opt.seed) +
+                   "|snap_stride=" +
+                   std::to_string(opt.noFork ? 0 : opt.snapStride);
     cli::appendWatchdogSpec(config_spec, copts);
 
     obs::Telemetry telemetry("nvmr_crashtest", topts,
@@ -608,48 +567,208 @@ main(int argc, char **argv)
 
     campaign::Campaign cam("nvmr_crashtest", config_spec, copts);
 
+    // Combinations in canonical (workload, arch) order: the census
+    // stage's cell index, and the order of every report line.
+    std::vector<Combo> combos;
+    for (size_t w = 0; w < opt.workloads.size(); ++w)
+        for (ArchKind arch : opt.archs) {
+            Combo cb;
+            cb.workload = w;
+            cb.arch = arch;
+            cb.tag = opt.workloads[w] + "/" + archKindName(arch);
+            combos.push_back(std::move(cb));
+        }
+
+    // Programs and golden runs are prepared once per workload, on the
+    // main thread, and only when some cell of the workload still has
+    // to execute (a fully journaled campaign simulates nothing).
+    // Workers then share them read-only.
+    const CrashPlatform plat;
+    std::vector<Program> progs(opt.workloads.size());
+    std::vector<std::shared_ptr<const GoldenResult>> goldens(
+        opt.workloads.size());
+    auto prepare = [&](size_t w) {
+        if (goldens[w])
+            return;
+        progs[w] = assembleWorkload(opt.workloads[w]);
+        goldens[w] = goldenRun(progs[w]);
+        fatal_if(!goldens[w]->halted, "golden run of ",
+                 opt.workloads[w], " did not halt");
+    };
+
+    // Stage 1, every census: one cell per combination. A census that
+    // cannot complete cleanly is a finding like any other, so it IS
+    // journaled (completed=false) and its combination fails without
+    // aborting the campaign.
+    for (size_t c = 0; c < combos.size(); ++c)
+        if (!cam.cellDone("census", c))
+            prepare(combos[c].workload);
+    auto census_cells = cam.runStage(
+        "census", combos.size(),
+        [&](const campaign::CellContext &ctx)
+            -> std::optional<std::string> {
+            Combo &cb = combos[ctx.index];
+            CollectingSnapshotSink sink = forkSink(opt);
+            CensusCell cell;
+            cell.census = runCensus(
+                plat, progs[cb.workload], cb.arch,
+                *goldens[cb.workload], opt.noFork ? nullptr : &sink,
+                ctx.budgetCycles, cb.tag);
+            cell.snapshots = sink.snapshots.size();
+            if (cell.census.completed)
+                for (const CrashPoint &cp :
+                     crashPoints(cell.census, cb.arch, opt))
+                    cell.forked +=
+                        nearestSnapshot(sink.snapshots, cp) != nullptr;
+            cb.snaps = std::move(sink.snapshots);
+            return encodeCensusCell(cell);
+        });
+
+    // Lay every combination's crash points out in one index space.
+    std::vector<size_t> owner; // points-stage index -> combination
+    bool want_verify = opt.verifyFork > 0 && !opt.noFork;
+    std::vector<size_t> recapture;
+    for (size_t c = 0; c < combos.size(); ++c) {
+        Combo &cb = combos[c];
+        if (census_cells[c].status != campaign::CellStatus::Done)
+            continue; // interrupted / reported via quarantine list
+        fatal_if(!decodeCensusCell(census_cells[c].payload, cb.census),
+                 "corrupt journal payload for ", cb.tag, " census");
+        if (!cb.census.census.completed)
+            continue;
+        cb.points = crashPoints(cb.census.census, cb.arch, opt);
+        cb.firstPoint = owner.size();
+        owner.resize(owner.size() + cb.points.size(), c);
+
+        bool any_fresh = false;
+        for (uint64_t i = cb.firstPoint; i < owner.size() && !any_fresh;
+             ++i)
+            any_fresh = !cam.cellDone("points", i);
+        if (!any_fresh && !want_verify)
+            continue;
+        prepare(cb.workload);
+        // A census served from the journal captured nothing in this
+        // process: re-derive its snapshots (below) with the same
+        // bounded sink.
+        if (!opt.noFork && census_cells[c].fromJournal)
+            recapture.push_back(c);
+    }
+    std::vector<char> recaptured(recapture.size(), 0);
+    par::parallelFor(recapture.size(), [&](size_t k) {
+        Combo &cb = combos[recapture[k]];
+        CollectingSnapshotSink sink = forkSink(opt);
+        recaptured[k] = runCensus(plat, progs[cb.workload], cb.arch,
+                                  *goldens[cb.workload], &sink, 0,
+                                  cb.tag)
+                            .completed;
+        cb.snaps = std::move(sink.snapshots);
+    });
+    for (size_t k = 0; k < recapture.size(); ++k)
+        fatal_if(!recaptured[k], "reference run of ",
+                 combos[recapture[k]].tag,
+                 " did not complete, but its journaled census did");
+
+    // Stage 2, every crash point of every combination. Each point
+    // forks from the latest snapshot preceding it (snapshots are
+    // immutable and COW-shared, so concurrent forks are safe) and
+    // journals a 1-byte outcome (crashed/completed/matched flags) --
+    // byte-identical to what a from-scratch run journals.
+    auto results = cam.runStage(
+        "points", owner.size(),
+        [&](const campaign::CellContext &ctx)
+            -> std::optional<std::string> {
+            const Combo &cb = combos[owner[ctx.index]];
+            uint64_t local = ctx.index - cb.firstPoint;
+            const CrashPoint &cp = cb.points[local];
+            FaultConfig faults;
+            faults.enabled = true;
+            faults.crashAtPersist = cp.persist;
+            faults.crashAtCycle = cp.cycle;
+            bool matched = false;
+            RunResult r = runOnce(plat, progs[cb.workload], cb.arch,
+                                  faults, *goldens[cb.workload],
+                                  &matched, ctx.budgetCycles,
+                                  nearestSnapshot(cb.snaps, cp));
+            if (ctx.budgetCycles && !r.completed)
+                throw campaign::CellTimeout{
+                    cb.tag + " point " + std::to_string(local) +
+                    " exceeded " + std::to_string(ctx.budgetCycles) +
+                    " cycles"};
+            char flags =
+                static_cast<char>((r.injectedCrashes > 0 ? 1 : 0) |
+                                  (r.completed ? 2 : 0) |
+                                  (matched ? 4 : 0));
+            return std::string(1, flags);
+        });
+
+    // Verification and every report line on the main thread, one
+    // combination at a time in canonical order, so the output is the
+    // same whatever the worker count or the stage layout. An
+    // interrupted campaign reports the combinations before the first
+    // one with a skipped cell.
     uint64_t total_points = 0;
     uint64_t total_crashed = 0;
     bool ok = true;
-    JsonWriter combos;
-    combos.beginArray();
-    for (const std::string &w : opt.workloads) {
-        for (ArchKind arch : opt.archs) {
-            if (cam.interrupted())
-                break;
-            ComboReport report;
-            bool combo_ok = exploreCombo(cam, w, arch, opt, report);
-            if (cam.interrupted())
-                break;
-            total_points += report.points;
-            total_crashed += report.crashed;
-            combos.beginObject();
-            combos.kv("workload", w);
-            combos.kv("arch", archKindName(arch));
-            combos.kv("points", report.points);
-            combos.kv("crashed", report.crashed);
-            combos.kv("divergent", report.divergent);
-            combos.kv("stuck", report.stuck);
-            combos.kv("fork_verified", report.forkVerified);
-            combos.kv("fork_divergent", report.forkDivergent);
-            combos.kv("ok", combo_ok);
-            combos.endObject();
-            if (opt.verbose || !combo_ok)
-                std::printf(
-                    "%-14s %-14s %6llu points, %6llu crashed, "
-                    "%llu divergent, %llu stuck%s\n",
-                    w.c_str(), archKindName(arch),
-                    static_cast<unsigned long long>(report.points),
-                    static_cast<unsigned long long>(report.crashed),
-                    static_cast<unsigned long long>(report.divergent),
-                    static_cast<unsigned long long>(report.stuck),
-                    combo_ok ? "" : "  <-- FAIL");
-            ok = ok && combo_ok;
+    JsonWriter combo_json;
+    combo_json.beginArray();
+    for (size_t c = 0; c < combos.size(); ++c) {
+        Combo &cb = combos[c];
+        bool skipped =
+            census_cells[c].status == campaign::CellStatus::Skipped;
+        for (size_t i = 0; i < cb.points.size() && !skipped; ++i)
+            skipped = results[cb.firstPoint + i].status ==
+                      campaign::CellStatus::Skipped;
+        if (skipped)
+            break;
+        const std::string &w = opt.workloads[cb.workload];
+        ComboReport report;
+        report.points = cb.points.size();
+        bool combo_ok = true;
+        if (census_cells[c].status == campaign::CellStatus::Done &&
+            !cb.census.census.completed) {
+            std::printf("FAILURE: %s/%s census run did not complete "
+                        "cleanly\n",
+                        w.c_str(), archKindName(cb.arch));
+            combo_ok = false;
         }
+        if (want_verify && !cb.snaps.empty())
+            verifyForks(cam, plat, progs[cb.workload],
+                        *goldens[cb.workload], cb, opt, report);
         if (cam.interrupted())
             break;
+        tallyPoints(results, cb, opt, report);
+        combo_ok = combo_ok && report.divergent == 0 &&
+                   report.stuck == 0 && report.forkDivergent == 0;
+        cb.snaps.clear();
+
+        total_points += report.points;
+        total_crashed += report.crashed;
+        combo_json.beginObject();
+        combo_json.kv("workload", w);
+        combo_json.kv("arch", archKindName(cb.arch));
+        combo_json.kv("points", report.points);
+        combo_json.kv("crashed", report.crashed);
+        combo_json.kv("divergent", report.divergent);
+        combo_json.kv("stuck", report.stuck);
+        combo_json.kv("fork_verified", report.forkVerified);
+        combo_json.kv("fork_divergent", report.forkDivergent);
+        combo_json.kv("snapshots", cb.census.snapshots);
+        combo_json.kv("forked", cb.census.forked);
+        combo_json.kv("ok", combo_ok);
+        combo_json.endObject();
+        if (opt.verbose || !combo_ok)
+            std::printf(
+                "%-14s %-14s %6llu points, %6llu crashed, "
+                "%llu divergent, %llu stuck%s\n",
+                w.c_str(), archKindName(cb.arch),
+                static_cast<unsigned long long>(report.points),
+                static_cast<unsigned long long>(report.crashed),
+                static_cast<unsigned long long>(report.divergent),
+                static_cast<unsigned long long>(report.stuck),
+                combo_ok ? "" : "  <-- FAIL");
+        ok = ok && combo_ok;
     }
-    combos.endArray();
+    combo_json.endArray();
 
     if (cam.interrupted())
         std::printf("interrupted: progress checkpointed%s\n",
@@ -679,7 +798,7 @@ main(int argc, char **argv)
         manifest.addExtra("result", cam.interrupted() ? "interrupted"
                                     : ok              ? "passed"
                                                       : "failed");
-        manifest.addExtraJson("combos", combos.str());
+        manifest.addExtraJson("combos", combo_json.str());
         manifest.addExtraJson("quarantine", cam.quarantineJson());
         if (!manifest.tryWriteFile(opt.statsJsonPath) &&
             rc == kExitOk)
