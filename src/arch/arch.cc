@@ -398,6 +398,7 @@ IntermittentArch::restoreState(StateReader &r)
     snapStaged = r.boolean();
     redoJournal.clear();
     uint64_t journal_entries = r.u64();
+    r.checkCount(journal_entries, sizeof(Addr) + sizeof(Word));
     redoJournal.reserve(journal_entries);
     for (uint64_t i = 0; i < journal_entries; ++i) {
         Addr a = r.pod<Addr>();

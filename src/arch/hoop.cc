@@ -322,6 +322,7 @@ HoopArch::restoreState(StateReader &r)
     bufNewest.clear();
     committedLog.clear();
     uint64_t nbuf = r.u64();
+    r.checkCount(nbuf, sizeof(Addr) + sizeof(Word));
     oopBuffer.reserve(nbuf);
     for (uint64_t i = 0; i < nbuf; ++i) {
         Addr addr = r.pod<Addr>();

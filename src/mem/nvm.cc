@@ -1,6 +1,7 @@
 #include "mem/nvm.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.hh"
 #include "fault/fault.hh"
@@ -9,12 +10,22 @@
 namespace nvmr
 {
 
+namespace
+{
+
+// One serialized wear entry: (word index, wear) as two u32s.
+constexpr size_t kWearEntryBytes = 2 * sizeof(uint32_t);
+
+} // namespace
+
 Nvm::Nvm(uint32_t size_bytes, const TechParams &params, EnergySink &snk)
     : size(size_bytes), tech(params), sink(snk), mem(size_bytes)
 {
     fatal_if(size_bytes == 0 || size_bytes % kWordBytes != 0,
              "NVM size must be a positive multiple of the word size");
-    wear.assign(size_bytes / kWordBytes, 0);
+    // One null slot per page: no counter exists until a page takes
+    // its first accounted write.
+    wear.resize(mem.pageCount());
 }
 
 uint32_t
@@ -56,10 +67,11 @@ Nvm::writeWord(Addr addr, Word value)
     if (faults && faults->enabled())
         faults->persistPoint();
     ++writes;
-    if (wear[idx] == 0)
-        wornIdx.push_back(idx);
-    if (++wear[idx] > peakWear)
-        peakWear = wear[idx];
+    uint32_t &wr = wearSlot(idx);
+    if (wr++ == 0)
+        ++worn;
+    if (wr > peakWear)
+        peakWear = wr;
     sink.addCycles(tech.flashWriteCycles);
     sink.consume(tech.flashWriteWordNj);
     if (tracer) {
@@ -74,7 +86,7 @@ Nvm::writeWord(Addr addr, Word value)
     }
     pokeWord(addr, value);
     if (faults && faults->enabled())
-        faults->onWordWritten(addr, wear[idx]);
+        faults->onWordWritten(addr, wr);
 }
 
 Word
@@ -117,7 +129,10 @@ Nvm::loadImage(Addr base, const std::vector<uint8_t> &image)
 uint64_t
 Nvm::wearOf(Addr addr) const
 {
-    return wear[addr / kWordBytes];
+    panic_if(addr >= size, "NVM access out of range: ", addr);
+    uint32_t idx = addr / kWordBytes;
+    const std::unique_ptr<WearChunk> &chunk = wear[idx / kWearChunkWords];
+    return chunk ? (*chunk)[idx % kWearChunkWords] : 0;
 }
 
 uint64_t
@@ -129,35 +144,59 @@ Nvm::maxWear() const
 uint64_t
 Nvm::wearPercentile(double p) const
 {
-    std::vector<uint32_t> worn;
-    worn.reserve(wornIdx.size());
-    for (uint32_t i : wornIdx)
-        worn.push_back(wear[i]);
-    if (worn.empty())
+    if (worn == 0)
         return 0;
-    std::sort(worn.begin(), worn.end());
+    std::vector<uint32_t> values;
+    values.reserve(worn);
+    forEachWornWord([&](Addr, uint64_t wr) {
+        values.push_back(static_cast<uint32_t>(wr));
+    });
     double clamped = std::min(std::max(p, 0.0), 1.0);
     size_t idx = static_cast<size_t>(
-        clamped * static_cast<double>(worn.size() - 1) + 0.5);
-    return worn[idx];
+        clamped * static_cast<double>(values.size() - 1) + 0.5);
+    std::nth_element(values.begin(), values.begin() + idx,
+                     values.end());
+    return values[idx];
 }
 
 uint64_t
 Nvm::wornWords() const
 {
-    return wornIdx.size();
+    return worn;
+}
+
+size_t
+Nvm::wearChunks() const
+{
+    size_t n = 0;
+    for (const std::unique_ptr<WearChunk> &chunk : wear)
+        n += chunk != nullptr;
+    return n;
+}
+
+void
+Nvm::clearWear()
+{
+    for (std::unique_ptr<WearChunk> &chunk : wear)
+        if (chunk)
+            chunk->fill(0);
+    worn = 0;
 }
 
 void
 Nvm::saveState(StateWriter &w) const
 {
-    // Wear travels sparsely: (word index, wear) for worn words only.
-    // The NVM is megabytes; the worn set is the write footprint.
-    w.u64(wornIdx.size());
-    for (uint32_t i : wornIdx) {
-        w.u32(i);
-        w.u32(wear[i]);
-    }
+    // Wear travels sparsely, in ascending word order: (word index,
+    // wear) for worn words only. The NVM is megabytes; the worn set
+    // is the write footprint.
+    w.u64(worn);
+    uint8_t *out = w.extend(worn * kWearEntryBytes);
+    forEachWornWord([&](Addr addr, uint64_t wr) {
+        const uint32_t entry[2] = {addr / kWordBytes,
+                                   static_cast<uint32_t>(wr)};
+        std::memcpy(out, entry, kWearEntryBytes);
+        out += kWearEntryBytes;
+    });
     w.u32(peakWear);
     w.u64(writes);
     w.u64(reads);
@@ -166,19 +205,24 @@ Nvm::saveState(StateWriter &w) const
 void
 Nvm::restoreState(StateReader &r)
 {
-    // Clear this run's worn words before applying the snapshot's: the
-    // two sets need not overlap.
-    for (uint32_t i : wornIdx)
-        wear[i] = 0;
-    wornIdx.clear();
+    // Clear this run's wear before applying the snapshot's: the two
+    // worn sets need not overlap.
+    clearWear();
     uint64_t n = r.u64();
-    wornIdx.reserve(n);
-    for (uint64_t k = 0; k < n; ++k) {
-        uint32_t i = r.u32();
-        uint32_t wr = r.u32();
-        panic_if(i >= wear.size(), "snapshot wear index out of range");
-        wornIdx.push_back(i);
-        wear[i] = wr;
+    r.checkCount(n, kWearEntryBytes);
+    const uint8_t *in = r.consume(n * kWearEntryBytes);
+    for (uint64_t k = 0; k < n; ++k, in += kWearEntryBytes) {
+        uint32_t entry[2];
+        std::memcpy(entry, in, kWearEntryBytes);
+        const uint32_t i = entry[0], wr = entry[1];
+        panic_if(i >= size / kWordBytes,
+                 "snapshot wear index out of range");
+        if (wr == 0)
+            continue;
+        uint32_t &slot = wearSlot(i);
+        if (slot == 0)
+            ++worn;
+        slot = wr;
     }
     peakWear = r.u32();
     writes = r.u64();
@@ -188,11 +232,7 @@ Nvm::restoreState(StateReader &r)
 void
 Nvm::resetStats()
 {
-    // Clear only the worn words; the rest of the wear vector is
-    // already zero (megabytes of NVM, a small write footprint).
-    for (uint32_t i : wornIdx)
-        wear[i] = 0;
-    wornIdx.clear();
+    clearWear();
     peakWear = 0;
     writes = 0;
     reads = 0;

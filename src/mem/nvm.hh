@@ -8,8 +8,9 @@
 #ifndef NVMR_MEM_NVM_HH
 #define NVMR_MEM_NVM_HH
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -102,21 +103,29 @@ class Nvm
 
     /** Visit every worn word as fn(word_addr, wear) in ascending
      *  address order; skips words never written (observability:
-     *  per-location wear histogram). Iterates the worn-index list
-     *  instead of the full wear vector -- the NVM is megabytes, the
-     *  worn set is the program's write footprint. Ascending order is
-     *  preserved (callers fold the values into FP sums, which are
-     *  order-sensitive). */
+     *  per-location wear histogram). Walks only the allocated wear
+     *  chunks -- the NVM is megabytes, the worn set is the program's
+     *  write footprint. Ascending order matters: callers fold the
+     *  values into FP sums, which are order-sensitive. */
     template <typename Fn>
     void
     forEachWornWord(Fn fn) const
     {
-        std::vector<uint32_t> idx(wornIdx);
-        std::sort(idx.begin(), idx.end());
-        for (uint32_t i : idx)
-            fn(static_cast<Addr>(i) * kWordBytes,
-               static_cast<uint64_t>(wear[i]));
+        for (size_t c = 0; c < wear.size(); ++c) {
+            if (!wear[c])
+                continue;
+            const WearChunk &chunk = *wear[c];
+            for (uint32_t k = 0; k < kWearChunkWords; ++k)
+                if (chunk[k])
+                    fn(static_cast<Addr>(c * kWearChunkWords + k) *
+                           kWordBytes,
+                       static_cast<uint64_t>(chunk[k]));
+        }
     }
+
+    /** Wear chunks allocated so far (one per NVM page that took an
+     *  accounted write; tests pin the O(footprint) cost). */
+    size_t wearChunks() const;
 
     /** Total accounted word writes. */
     uint64_t totalWrites() const { return writes; }
@@ -160,14 +169,34 @@ class Nvm
     EnergySink &sink;
     FaultInjector *faults = nullptr;
     TraceSink *tracer = nullptr;
+    /** Per-word wear counters of one NVM page. */
+    static constexpr uint32_t kWearChunkWords =
+        CowStore::kPageBytes / kWordBytes;
+    using WearChunk = std::array<uint32_t, kWearChunkWords>;
+
     CowStore mem;
-    std::vector<uint32_t> wear;    // per word
-    std::vector<uint32_t> wornIdx; // word indices with wear > 0
-    uint32_t peakWear = 0;         // running max over `wear`
+    // Per-page wear chunks, null until the page's first accounted
+    // write: the table is the sparse index of worn words.
+    std::vector<std::unique_ptr<WearChunk>> wear;
+    uint64_t worn = 0;     // words with wear > 0
+    uint32_t peakWear = 0; // running max over `wear`
     uint64_t writes = 0;
     uint64_t reads = 0;
 
     uint32_t wordIndex(Addr addr) const;
+
+    /** Wear counter of word idx, allocating its chunk on first use. */
+    uint32_t &
+    wearSlot(uint32_t idx)
+    {
+        std::unique_ptr<WearChunk> &chunk = wear[idx / kWearChunkWords];
+        if (!chunk)
+            chunk = std::make_unique<WearChunk>(); // value-init: zeros
+        return (*chunk)[idx % kWearChunkWords];
+    }
+
+    /** Zero every allocated chunk (they stay allocated). */
+    void clearWear();
 };
 
 } // namespace nvmr

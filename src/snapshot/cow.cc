@@ -5,17 +5,37 @@
 namespace nvmr
 {
 
+namespace
+{
+
+// Const and constant-initialized, so it lands in read-only memory: a
+// write that skipped ensureOwned() faults instead of corrupting every
+// store's view of untouched NVM.
+const CowStore::Page kZeroPage{};
+
+} // namespace
+
 CowStore::CowStore(size_t bytes) : size(bytes)
 {
     static_assert(kPageBytes % kWordBytes == 0,
                   "page size must be a multiple of the word size");
     size_t npages = (bytes + kPageBytes - 1) / kPageBytes;
-    pages.reserve(npages);
-    for (size_t i = 0; i < npages; ++i) {
-        pages.push_back(std::make_shared<Page>());
-        pages.back()->data.fill(0);
-    }
-    owned.assign(npages, 1);
+    // Every page starts as the shared zero page, not owned: the first
+    // write clones it exactly like a snapshot page. The aliasing
+    // constructor over an empty owner gives a non-null pointer with no
+    // control block, so copies of it cost no allocation and no atomic
+    // refcount traffic, however many stores and snapshots share it.
+    std::shared_ptr<Page> zero(std::shared_ptr<Page>(),
+                               const_cast<Page *>(&kZeroPage));
+    pages.assign(npages, zero);
+    owned.assign(npages, 0);
+}
+
+bool
+CowStore::isZeroPage(size_t idx) const
+{
+    panic_if(idx >= pages.size(), "page index out of range");
+    return pages[idx].get() == &kZeroPage;
 }
 
 void
@@ -60,6 +80,22 @@ CowStore::ownedPages() const
     for (uint8_t o : owned)
         n += o;
     return n;
+}
+
+bool
+samePageContents(const CowStore::PageTable &a,
+                 const CowStore::PageTable &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i] == b[i])
+            continue;
+        if (std::memcmp(a[i]->data.data(), b[i]->data.data(),
+                        CowStore::kPageBytes) != 0)
+            return false;
+    }
+    return true;
 }
 
 } // namespace nvmr

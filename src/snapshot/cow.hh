@@ -3,8 +3,11 @@
  * Copy-on-write page store backing the NVM byte array. Snapshots and
  * forks share read-only pages through shared_ptr refcounts (the
  * A/B-active idiom from pmembench's InplaceCow, generalized to N
- * sharers); the first write to a shared page clones it. Snapshot cost
- * is O(pages) pointer copies, fork memory cost is O(dirty pages).
+ * sharers); the first write to a shared page clones it. A fresh store
+ * points every page at one static read-only zero page, so memory cost
+ * is O(written pages) from construction on: construction, snapshot
+ * and fork are O(pages) pointer copies with no per-page allocation,
+ * and each store clones only the pages it dirties.
  */
 
 #ifndef NVMR_SNAPSHOT_COW_HH
@@ -103,15 +106,25 @@ class CowStore
      */
     void adoptPages(const PageTable &table);
 
-    /** Pages this store holds exclusively (diagnostics/tests). */
+    /** The current page table, without marking anything
+     *  copy-on-write: valid until the next write through this store
+     *  (compare final images with samePageContents). */
+    const PageTable &pageTable() const { return pages; }
+
+    /** Pages this store holds exclusively (diagnostics/tests). A
+     *  fresh store owns none: every page is the shared zero page. */
     size_t ownedPages() const;
 
-    /** Refcount of one page (tests verify sharing/release). */
+    /** Refcount of one page (tests verify sharing/release). The zero
+     *  page has no control block, so its count is always 0. */
     long pageUseCount(size_t idx) const
     {
         panic_if(idx >= pages.size(), "page index out of range");
         return pages[idx].use_count();
     }
+
+    /** True when page idx is still the shared zero page. */
+    bool isZeroPage(size_t idx) const;
 
   private:
     void
@@ -136,6 +149,14 @@ class CowStore
     PageTable pages;
     std::vector<uint8_t> owned; // 1 = exclusively ours, safe to mutate
 };
+
+/**
+ * Byte equality of two page tables of the same geometry. Pointer-equal
+ * pages (shared by a fork, or both the zero page) count as equal
+ * without being read; the rest compare with memcmp.
+ */
+bool samePageContents(const CowStore::PageTable &a,
+                      const CowStore::PageTable &b);
 
 } // namespace nvmr
 

@@ -67,6 +67,16 @@ class StateWriter
             bytes(v.data(), v.size() * sizeof(T));
     }
 
+    /** Append n bytes for the caller to fill in place (bulk
+     *  writers: one resize instead of n small inserts). */
+    uint8_t *
+    extend(size_t n)
+    {
+        size_t at = buf.size();
+        buf.resize(at + n);
+        return buf.data() + at;
+    }
+
     std::vector<uint8_t> take() { return std::move(buf); }
 
   private:
@@ -84,11 +94,19 @@ class StateReader
     void
     bytes(void *dst, size_t n)
     {
-        panic_if(static_cast<size_t>(end - cur) < n,
-                 "snapshot blob underrun: need ", n, " bytes, have ",
-                 end - cur);
-        std::memcpy(dst, cur, n);
+        std::memcpy(dst, consume(n), n);
+    }
+
+    /** Consume n bytes and return where they start (bulk readers;
+     *  the pointer stays valid as long as the blob). */
+    const uint8_t *
+    consume(size_t n)
+    {
+        panic_if(remaining() < n, "snapshot blob underrun: need ", n,
+                 " bytes, have ", remaining());
+        const uint8_t *at = cur;
         cur += n;
+        return at;
     }
 
     template <typename T>
@@ -112,6 +130,7 @@ class StateReader
     str()
     {
         uint64_t n = u64();
+        checkCount(n, 1);
         std::string s(n, '\0');
         if (n)
             bytes(s.data(), n);
@@ -125,6 +144,7 @@ class StateReader
         static_assert(std::is_trivially_copyable_v<T>,
                       "snapshot vec() needs trivially copyable elements");
         uint64_t n = u64();
+        checkCount(n, sizeof(T));
         std::vector<T> v(n);
         if (n)
             bytes(v.data(), n * sizeof(T));
@@ -132,6 +152,22 @@ class StateReader
     }
 
     bool exhausted() const { return cur == end; }
+
+    /** Bytes not yet consumed. */
+    size_t remaining() const { return static_cast<size_t>(end - cur); }
+
+    /**
+     * Refuse a count field of n elements of elem_bytes each that the
+     * rest of the blob cannot hold, before anything is allocated for
+     * it (and without computing n * elem_bytes, which can overflow).
+     */
+    void
+    checkCount(uint64_t n, size_t elem_bytes) const
+    {
+        panic_if(n > remaining() / elem_bytes,
+                 "snapshot blob underrun: need ", n, " x ", elem_bytes,
+                 " bytes, have ", remaining());
+    }
 
   private:
     const uint8_t *cur;

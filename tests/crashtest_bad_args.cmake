@@ -2,8 +2,10 @@
 # as 0 (a "passed: 0 crash points" vacuous pass for --max-backups, a
 # silent stride of 1, "all cores" for --jobs): every bad value below
 # has to die with fatal (exit 2, kExitUsage) and print nothing on
-# stdout. `--jobs 0` keeps its documented "all cores" meaning and
-# must still run. Invoked by the `crashtest-bad-args` ctest:
+# stdout. The shared watchdog flags follow the same rule (a typo must
+# not silently disable the watchdog; retries must fit an unsigned).
+# `--jobs 0` keeps its documented "all cores" meaning and must still
+# run. Invoked by the `crashtest-bad-args` ctest:
 #
 #   cmake -DCRASHTEST=... -P crashtest_bad_args.cmake
 
@@ -25,7 +27,11 @@ foreach(bad
         "--verify-fork;two"
         "--jobs;banana"
         "--jobs;99999999999"
-        "--threads;-2")
+        "--threads;-2"
+        "--watchdog-cycles;abc"
+        "--watchdog-cycles;12k"
+        "--watchdog-retries;x"
+        "--watchdog-retries;4294967296")
     execute_process(
         COMMAND "${CRASHTEST}" ${tiny} ${bad}
         OUTPUT_VARIABLE out

@@ -2,7 +2,9 @@
 # rows built from zero runs: every bad --traces / --caps value below
 # has to die with fatal (exit 2, kExitUsage) and print no CSV. The
 # rules match the serve job schema (serve::parseJobText): traces is a
-# whole number in [1, 10], caps are positive numbers. Invoked by the
+# whole number in [1, 10], caps are positive numbers. A malformed
+# watchdog budget dies the same way instead of silently disabling the
+# watchdog (retries must also fit an unsigned). Invoked by the
 # `sweep-bad-args` ctest:
 #
 #   cmake -DSWEEP=... -P sweep_bad_args.cmake
@@ -20,7 +22,11 @@ foreach(bad
         "--caps;0"
         "--caps;-0.1"
         "--caps;abc"
-        "--caps;,")
+        "--caps;,"
+        "--watchdog-cycles;abc"
+        "--watchdog-cycles;-5"
+        "--watchdog-retries;x"
+        "--watchdog-retries;4294967296")
     execute_process(
         COMMAND "${SWEEP}" ${grid} ${bad}
         OUTPUT_VARIABLE out

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "isa/assembler.hh"
@@ -42,11 +43,46 @@ TEST(CowStore, GeometryAndZeroFill)
     CowStore store(kStoreBytes);
     EXPECT_EQ(store.sizeBytes(), kStoreBytes);
     EXPECT_EQ(store.pageCount(), 4u);
-    // Freshly constructed stores own every page and read back zero.
-    EXPECT_EQ(store.ownedPages(), 4u);
+    // A fresh store owns no page: every page is the shared zero page,
+    // which has no control block, and reads back zero.
+    EXPECT_EQ(store.ownedPages(), 0u);
+    for (size_t i = 0; i < store.pageCount(); ++i) {
+        EXPECT_TRUE(store.isZeroPage(i)) << "page " << i;
+        EXPECT_EQ(store.pageUseCount(i), 0) << "page " << i;
+    }
     EXPECT_EQ(store.read8(0), 0u);
     EXPECT_EQ(store.read8(kStoreBytes - 1), 0u);
     EXPECT_EQ(store.readWord(kPage), 0u);
+}
+
+TEST(CowStoreDeathTest, ZeroPageIsReadOnly)
+{
+    // The zero page lives in read-only memory: a write that bypassed
+    // the copy-on-write clone faults instead of silently changing
+    // every store's view of untouched NVM.
+    CowStore store(kPage);
+    ASSERT_TRUE(store.isZeroPage(0));
+    volatile uint8_t *zero = store.pageTable()[0]->data.data();
+    EXPECT_DEATH({ zero[0] = 1; }, "");
+    EXPECT_EQ(store.read8(0), 0u);
+}
+
+TEST(CowStore, FirstWriteClonesOnlyThatPage)
+{
+    CowStore a(kStoreBytes);
+    a.write8(kPage + 5, 7);
+    EXPECT_EQ(a.ownedPages(), 1u);
+    EXPECT_FALSE(a.isZeroPage(1));
+    EXPECT_EQ(a.pageUseCount(1), 1);
+    for (size_t i : {0u, 2u, 3u})
+        EXPECT_TRUE(a.isZeroPage(i)) << "page " << i;
+    EXPECT_EQ(a.read8(kPage + 5), 7u);
+    EXPECT_EQ(a.read8(kPage + 4), 0u); // the clone starts zeroed
+
+    // The write reached a's clone, never the shared zero page.
+    CowStore b(kStoreBytes);
+    EXPECT_EQ(b.read8(kPage + 5), 0u);
+    EXPECT_EQ(b.ownedPages(), 0u);
 }
 
 TEST(CowStore, ByteAndWordRoundTrip)
@@ -86,10 +122,15 @@ TEST(CowStore, SnapshotSharesPagesUntilFirstWrite)
     store.write8(kPage, 2);
 
     CowStore::PageTable snap = store.snapshotPages();
-    // Every page is now shared between the store and the snapshot.
+    // Every page is now shared between the store and the snapshot:
+    // the written ones through a refcount, the rest as the zero page.
     EXPECT_EQ(store.ownedPages(), 0u);
-    for (size_t i = 0; i < store.pageCount(); ++i)
+    for (size_t i : {0u, 1u})
         EXPECT_EQ(store.pageUseCount(i), 2) << "page " << i;
+    for (size_t i : {2u, 3u}) {
+        EXPECT_TRUE(store.isZeroPage(i)) << "page " << i;
+        EXPECT_EQ(snap[i].get(), snap[2].get()) << "page " << i;
+    }
 
     // First write to page 0 clones it; the other pages stay shared.
     store.write8(3, 99);
@@ -107,6 +148,13 @@ TEST(CowStore, SnapshotSharesPagesUntilFirstWrite)
     store.write8(4, 100);
     EXPECT_EQ(snap[0].get(), before);
     EXPECT_EQ(store.ownedPages(), 1u);
+
+    // A write to a zero page clones it the same way; the snapshot
+    // keeps the zero page.
+    store.write8(2 * kPage, 5);
+    EXPECT_EQ(store.ownedPages(), 2u);
+    EXPECT_FALSE(store.isZeroPage(2));
+    EXPECT_EQ(snap[2]->data[0], 0u);
 }
 
 TEST(CowStore, ForkIsolation)
@@ -140,13 +188,19 @@ TEST(CowStore, ForkIsolation)
 TEST(CowStore, RefcountReleasesWhenSnapshotDropped)
 {
     CowStore store(kStoreBytes);
+    store.write8(0, 1);
+    store.write8(2 * kPage, 3);
     {
         CowStore::PageTable snap = store.snapshotPages();
         EXPECT_EQ(store.pageUseCount(0), 2);
+        EXPECT_EQ(store.pageUseCount(2), 2);
     }
-    // Dropping the table releases every shared reference.
-    for (size_t i = 0; i < store.pageCount(); ++i)
+    // Dropping the table releases every shared reference to the
+    // written pages; the zero pages never held one.
+    for (size_t i : {0u, 2u})
         EXPECT_EQ(store.pageUseCount(i), 1) << "page " << i;
+    for (size_t i : {1u, 3u})
+        EXPECT_EQ(store.pageUseCount(i), 0) << "page " << i;
 }
 
 TEST(CowStore, SnapshotOfForkChain)
@@ -176,6 +230,86 @@ TEST(CowStore, SnapshotOfForkChain)
     EXPECT_EQ(b.read8(kPage), 20u);
     EXPECT_EQ(a.read8(kPage), 20u);
     EXPECT_EQ(t2[1]->data[0], 20u);
+}
+
+TEST(CowStore, ConcurrentForksOfOneSnapshot)
+{
+    // Four workers fork one snapshot at once and each dirties its own
+    // pages: zero pages of the snapshot (aliases with no control
+    // block) and one page it shares by refcount. Under TSan this pins
+    // that sharing either kind of page across threads is race-free.
+    constexpr unsigned kThreads = 4;
+    constexpr size_t kPages = 2 * kThreads + 1;
+    CowStore base(kPages * kPage);
+    base.writeWord(0, 0x5eed5eedu);
+    const CowStore::PageTable snap = base.snapshotPages();
+
+    std::vector<int> ok(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            CowStore fork(kPages * kPage);
+            fork.adoptPages(snap);
+            Addr mine = (1 + 2 * t) * kPage;
+            fork.writeWord(mine, t + 1);
+            fork.writeWord(mine + kPage, t + 100);
+            fork.writeWord(4, t); // page 0: shared by refcount
+            bool good = fork.readWord(0) == 0x5eed5eedu &&
+                        fork.readWord(4) == t &&
+                        fork.readWord(mine) == t + 1 &&
+                        fork.readWord(mine + kPage) == t + 100 &&
+                        fork.ownedPages() == 3;
+            // Every other worker's pages still read zero here.
+            for (size_t p = 1; p < kPages; ++p)
+                if (p * kPage != mine && p * kPage != mine + kPage)
+                    good = good && fork.readWord(p * kPage) == 0;
+            ok[t] = good;
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (unsigned t = 0; t < kThreads; ++t)
+        EXPECT_TRUE(ok[t]) << "worker " << t;
+
+    // The snapshot is untouched by any fork.
+    CowStore check(kPages * kPage);
+    check.adoptPages(snap);
+    EXPECT_EQ(check.readWord(0), 0x5eed5eedu);
+    EXPECT_EQ(check.readWord(4), 0u);
+    for (size_t p = 1; p < kPages; ++p)
+        EXPECT_TRUE(check.isZeroPage(p)) << "page " << p;
+}
+
+TEST(CowStore, SamePageContents)
+{
+    CowStore a(kStoreBytes), b(kStoreBytes);
+    // Fresh stores: every page is the same zero page.
+    EXPECT_TRUE(samePageContents(a.pageTable(), b.pageTable()));
+
+    // Equal bytes in distinct page objects compare equal.
+    a.writeWord(kPage + 8, 0xcafef00du);
+    b.writeWord(kPage + 8, 0xcafef00du);
+    EXPECT_TRUE(samePageContents(a.pageTable(), b.pageTable()));
+
+    // A written page that still holds zeros equals the zero page.
+    a.write8(2 * kPage, 0);
+    EXPECT_TRUE(samePageContents(a.pageTable(), b.pageTable()));
+
+    // A one-byte difference in one page is reported.
+    b.write8(kPage + 4095, 1);
+    EXPECT_FALSE(samePageContents(a.pageTable(), b.pageTable()));
+    EXPECT_FALSE(samePageContents(b.pageTable(), a.pageTable()));
+
+    // A fork shares its parent's pages by pointer until it writes.
+    CowStore c(kStoreBytes);
+    c.adoptPages(b.snapshotPages());
+    EXPECT_TRUE(samePageContents(b.pageTable(), c.pageTable()));
+    c.write8(3 * kPage + 7, 9);
+    EXPECT_FALSE(samePageContents(b.pageTable(), c.pageTable()));
+
+    // Tables of different geometry never compare equal.
+    CowStore small(kPage);
+    EXPECT_FALSE(samePageContents(small.pageTable(), a.pageTable()));
 }
 
 // ---------------------------------------------------------------------
@@ -240,6 +374,33 @@ TEST(StateBlob, UnderrunPanics)
     EXPECT_DEATH({ r.u64(); }, "underrun");
 }
 
+TEST(StateBlob, HugeCountFieldsPanicBeforeAllocating)
+{
+    // A count field of 2^60 in a short blob: refused before any
+    // allocation, and without n * sizeof(T) wrapping to a small size.
+    StateWriter w;
+    w.u64(uint64_t(1) << 60);
+    w.u64(0);
+    std::vector<uint8_t> blob = w.take();
+    {
+        StateReader r(blob);
+        EXPECT_DEATH({ r.str(); }, "snapshot blob underrun");
+    }
+    {
+        StateReader r(blob);
+        EXPECT_DEATH({ r.vec<uint64_t>(); }, "snapshot blob underrun");
+    }
+    {
+        // 2^60 x 16 bytes wraps to 0 in 64 bits.
+        StateReader r(blob);
+        struct Wide
+        {
+            uint64_t a, b;
+        };
+        EXPECT_DEATH({ r.vec<Wide>(); }, "snapshot blob underrun");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Simulator capture / restore
 // ---------------------------------------------------------------------
@@ -301,6 +462,27 @@ expectIdentical(const Final &a, const Final &b, const char *what)
 }
 
 } // namespace
+
+TEST(SnapshotSim, NvmFootprintFollowsTheProgram)
+{
+    // A full validated hist/nvmr run touches a handful of the 2 MiB
+    // NVM's 512 pages (15 today: image, data, rename region, backup
+    // slots): the COW store clones only those, and wear chunks exist
+    // only for pages that took an accounted write.
+    Program prog = assembleWorkload("hist");
+    SystemConfig cfg;
+    JitPolicy jit;
+    HarvestTrace trace(TraceKind::Rf, 7, 8.0);
+    Simulator sim(prog, ArchKind::Nvmr, cfg, jit, trace, RunOptions{});
+    RunResult r = sim.run();
+    ASSERT_TRUE(r.completed && r.validated);
+    const Nvm &nvm = sim.nvmRef();
+    ASSERT_EQ(nvm.store().pageCount(), 512u);
+    EXPECT_GT(nvm.store().ownedPages(), 0u);
+    EXPECT_LE(nvm.store().ownedPages(), 32u);
+    EXPECT_GT(nvm.wearChunks(), 0u);
+    EXPECT_LE(nvm.wearChunks(), nvm.store().ownedPages());
+}
 
 TEST(SnapshotSim, CollectingSinkStrideAndCap)
 {

@@ -11,6 +11,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -118,12 +119,14 @@ handleCampaignArg(int argc, char **argv, int &i,
         return true;
     }
     if (a == "--watchdog-cycles") {
-        opts.watchdogCycles = std::strtoull(need(), nullptr, 10);
+        opts.watchdogCycles = parseCount(a.c_str(), need());
         return true;
     }
     if (a == "--watchdog-retries") {
-        opts.watchdogRetries =
-            static_cast<unsigned>(std::strtoul(need(), nullptr, 10));
+        uint64_t n = parseCount(a.c_str(), need());
+        fatal_if(n > UINT_MAX, "bad --watchdog-retries value ", n,
+                 " (at most ", UINT_MAX, ")");
+        opts.watchdogRetries = static_cast<unsigned>(n);
         return true;
     }
     return false;

@@ -212,7 +212,7 @@ runOnce(const CrashPlatform &plat, const Program &prog, ArchKind arch,
         const FaultConfig &faults, const GoldenResult &golden,
         bool *matched, uint64_t budget_cycles = 0,
         const MachineSnapshot *from = nullptr,
-        std::vector<uint8_t> *image_out = nullptr)
+        CowStore::PageTable *image_out = nullptr)
 {
     RunOptions opts;
     opts.validate = false;
@@ -224,11 +224,8 @@ runOnce(const CrashPlatform &plat, const Program &prog, ArchKind arch,
     Simulator sim(prog, arch, plat.cfg, *policy, plat.trace, opts);
     RunResult r = sim.run();
     *matched = r.completed && sim.validateAgainstGolden(golden);
-    if (image_out) {
-        image_out->resize(plat.cfg.nvmBytes);
-        for (uint32_t b = 0; b < plat.cfg.nvmBytes; ++b)
-            (*image_out)[b] = sim.nvmRef().peekByte(b);
-    }
+    if (image_out)
+        *image_out = sim.nvmRef().store().pageTable();
     return r;
 }
 
@@ -392,7 +389,7 @@ verifyForks(campaign::Campaign &cam, const CrashPlatform &plat,
         faults.crashAtPersist = cp.persist;
         faults.crashAtCycle = cp.cycle;
         bool m_fork = false, m_scratch = false;
-        std::vector<uint8_t> img_fork, img_scratch;
+        CowStore::PageTable img_fork, img_scratch;
         RunResult r_fork = runOnce(plat, prog, cb.arch, faults, golden,
                                    &m_fork, 0, from, &img_fork);
         RunResult r_scratch = runOnce(plat, prog, cb.arch, faults,
@@ -400,7 +397,7 @@ verifyForks(campaign::Campaign &cam, const CrashPlatform &plat,
                                       &img_scratch);
         ++report.forkVerified;
         if (sameRun(r_fork, r_scratch) && m_fork == m_scratch &&
-            img_fork == img_scratch)
+            samePageContents(img_fork, img_scratch))
             continue;
         ++report.forkDivergent;
         std::printf(
