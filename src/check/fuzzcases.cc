@@ -1,5 +1,7 @@
 #include "check/fuzzcases.hh"
 
+#include <cstdio>
+
 #include "common/xorshift.hh"
 
 namespace nvmr
@@ -138,6 +140,48 @@ evalFuzzCase(const Program &prog, const std::string &text,
     out.run = sim.run();
     out.ok = out.run.completed && out.run.validated;
     return out;
+}
+
+std::string
+renderFuzzFailure(const FuzzOutcome &out, uint64_t seed,
+                  uint64_t case_idx, bool faults_mode, bool oracle_mode)
+{
+    const FuzzCase &c = fuzzCases()[case_idx - 1];
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "\nFAILURE: seed %llu on %s/%s at %g F: ",
+                  static_cast<unsigned long long>(seed),
+                  archKindName(c.arch), policyKindName(c.policy),
+                  c.farads);
+    std::string text = buf;
+    if (oracle_mode) {
+        text += out.checkText;
+    } else {
+        text += out.run.completed ? "final state diverged\n"
+                                  : "did not complete\n";
+        if (out.haveFaults) {
+            std::snprintf(buf, sizeof(buf),
+                          "faults: crashAtPersist=%llu "
+                          "crashAtCycle=%llu "
+                          "transientBitErrorRate=%g\n",
+                          static_cast<unsigned long long>(
+                              out.faults.crashAtPersist),
+                          static_cast<unsigned long long>(
+                              out.faults.crashAtCycle),
+                          out.faults.transientBitErrorRate);
+            text += buf;
+        }
+    }
+    std::snprintf(buf, sizeof(buf),
+                  "repro: nvmr_fuzz%s%s --one %llu %llu   # %s/%s at "
+                  "%g F%s\n",
+                  faults_mode ? " --faults" : "",
+                  oracle_mode ? " --oracle" : "",
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(case_idx),
+                  archKindName(c.arch), policyKindName(c.policy),
+                  c.farads, c.byteLbf ? " (byte LBF)" : "");
+    return text + buf;
 }
 
 } // namespace nvmr

@@ -1,10 +1,10 @@
 /**
  * @file
- * The differential fuzzer's case grid and per-case evaluator, shared
- * between the standalone tool (tools/nvmr_fuzz.cc) and the job-queue
- * service (src/serve), so a fuzz job submitted to nvmr_serve checks
- * exactly the same (program, case) grid -- and produces byte-identical
- * journal payloads -- as `nvmr_fuzz` run by hand.
+ * The differential fuzzer's case grid, per-case evaluator and failure
+ * report. The fuzz campaign (serve/runner.hh) runs this grid for both
+ * `nvmr_fuzz` and a fuzz job served by nvmr_serve, so the two check
+ * the identical grid, write byte-identical journal payloads and
+ * print the same failure text; `nvmr_fuzz --one` replays one case.
  *
  * One fuzz iteration is one random program (sim/randprog.hh) pushed
  * through every entry of a fixed architecture x policy x capacitor
@@ -84,6 +84,16 @@ FuzzOutcome evalFuzzCase(const Program &prog, const std::string &text,
                          uint64_t budget_cycles = 0,
                          const std::atomic<bool> *cancel = nullptr,
                          EngineKind engine = EngineKind::Default);
+
+/**
+ * The report for a failed (seed, case) pair, as nvmr_fuzz prints it
+ * and a served fuzz job logs it: a blank line, the FAILURE line (the
+ * oracle's description in oracle mode; otherwise the verdict and, if
+ * faults fired, the fault load), then the one-line repro command.
+ */
+std::string renderFuzzFailure(const FuzzOutcome &out, uint64_t seed,
+                              uint64_t case_idx, bool faults_mode,
+                              bool oracle_mode);
 
 } // namespace nvmr
 

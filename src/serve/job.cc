@@ -1,5 +1,6 @@
 #include "serve/job.hh"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
@@ -14,6 +15,10 @@ namespace nvmr::serve
 
 namespace
 {
+
+constexpr int kMaxTraces = 10; ///< HarvestTrace::standardSet's size
+constexpr uint64_t kMaxIterations = 1ull << 32;
+constexpr uint64_t kMaxBaseSeed = ~0ull >> 1;
 
 std::string
 joinNames(const std::vector<std::string> &items)
@@ -76,6 +81,57 @@ stringList(const JsonValue &v, std::vector<std::string> &out,
 }
 
 } // namespace
+
+std::string
+checkJob(JobSpec &job)
+{
+    if (job.type == JobType::Fuzz) {
+        const FuzzParams &fp = job.fuzz;
+        if (fp.iterations < 1 || fp.iterations > kMaxIterations)
+            return "iterations must be a whole number in [1, " +
+                   std::to_string(kMaxIterations) + "], got " +
+                   std::to_string(fp.iterations);
+        if (fp.baseSeed > kMaxBaseSeed)
+            return "base seed must be at most " +
+                   std::to_string(kMaxBaseSeed) + ", got " +
+                   std::to_string(fp.baseSeed);
+        return "";
+    }
+    SweepParams &sp = job.sweep;
+    if (sp.workloads.empty())
+        for (const WorkloadInfo &w : allWorkloads())
+            sp.workloads.push_back(w.name);
+    for (const std::string &w : sp.workloads)
+        if (!validWorkloadName(w))
+            return "unknown workload '" + w + "'";
+    ArchKind arch;
+    for (const std::string &a : sp.archs)
+        if (!archKindFromName(a, arch))
+            return "unknown architecture '" + a +
+                   "' (valid: ideal, clank, clank_original, task, "
+                   "nvmr, hoop)";
+    PolicyKind policy;
+    for (const std::string &p : sp.policies)
+        if (!policyKindFromName(p, policy) ||
+            policy == PolicyKind::Spendthrift)
+            return "invalid policy '" + p +
+                   "' (valid: jit, watchdog, none; spendthrift needs "
+                   "offline training, see nvmr_train)";
+    if (sp.archs.empty() || sp.policies.empty() || sp.caps.empty())
+        return "archs, policies and caps must be non-empty";
+    for (double f : sp.caps)
+        if (!std::isfinite(f) || f <= 0) {
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "%g", f);
+            return std::string("caps must be finite positive "
+                               "capacitances in farads, got ") +
+                   buf;
+        }
+    if (sp.traces < 1 || sp.traces > kMaxTraces)
+        return "traces must be a whole number in [1, " +
+               std::to_string(kMaxTraces) + "]";
+    return "";
+}
 
 std::string
 JobSpec::configSpec() const
@@ -187,38 +243,28 @@ parseJobText(const std::string &text, const std::string &name,
             if (!stringList(v, out.sweep.policies, error, key))
                 return false;
         } else if (key == "caps" && out.type == JobType::Sweep) {
-            if (!v.isArray() || v.arr.empty()) {
-                error = "key 'caps' must be a non-empty array of "
-                        "positive numbers";
+            if (!v.isArray()) {
+                error = "key 'caps' must be an array of numbers";
                 return false;
             }
             out.sweep.caps.clear();
             for (const JsonValue &e : v.arr) {
-                if (e.kind != JsonValue::Kind::Number ||
-                    e.num <= 0) {
-                    error = "key 'caps' must be a non-empty array "
-                            "of positive numbers";
+                if (e.kind != JsonValue::Kind::Number) {
+                    error = "key 'caps' must be an array of numbers";
                     return false;
                 }
                 out.sweep.caps.push_back(e.num);
             }
         } else if (key == "traces" && out.type == JobType::Sweep) {
-            if (!wholeNumber(v, 10, u, error, key) || u == 0) {
-                error = "key 'traces' must be a whole number in "
-                        "[1, 10]";
+            if (!wholeNumber(v, INT_MAX, u, error, key))
                 return false;
-            }
             out.sweep.traces = static_cast<int>(u);
         } else if (key == "iterations" && out.type == JobType::Fuzz) {
-            if (!wholeNumber(v, 1ull << 32, out.fuzz.iterations,
-                             error, key) ||
-                out.fuzz.iterations == 0) {
-                error = "key 'iterations' must be a positive whole "
-                        "number";
+            if (!wholeNumber(v, kMaxBaseSeed, out.fuzz.iterations,
+                             error, key))
                 return false;
-            }
         } else if (key == "base_seed" && out.type == JobType::Fuzz) {
-            if (!wholeNumber(v, ~0ull >> 1, out.fuzz.baseSeed,
+            if (!wholeNumber(v, kMaxBaseSeed, out.fuzz.baseSeed,
                              error, key))
                 return false;
         } else if (key == "faults" && out.type == JobType::Fuzz) {
@@ -240,35 +286,8 @@ parseJobText(const std::string &text, const std::string &name,
         }
     }
 
-    if (out.type == JobType::Sweep) {
-        if (out.sweep.workloads.empty())
-            for (const WorkloadInfo &w : allWorkloads())
-                out.sweep.workloads.push_back(w.name);
-        for (const std::string &w : out.sweep.workloads)
-            if (!validWorkloadName(w)) {
-                error = "unknown workload '" + w + "'";
-                return false;
-            }
-        ArchKind arch;
-        for (const std::string &a : out.sweep.archs)
-            if (!archKindFromName(a, arch)) {
-                error = "unknown architecture '" + a + "'";
-                return false;
-            }
-        PolicyKind policy;
-        for (const std::string &p : out.sweep.policies)
-            if (!policyKindFromName(p, policy) ||
-                policy == PolicyKind::Spendthrift) {
-                error = "invalid policy '" + p +
-                        "' (valid: jit, watchdog, none)";
-                return false;
-            }
-        if (out.sweep.archs.empty() || out.sweep.policies.empty()) {
-            error = "archs and policies must be non-empty";
-            return false;
-        }
-    }
-    return true;
+    error = checkJob(out);
+    return error.empty();
 }
 
 bool

@@ -46,7 +46,7 @@ enum class JobType : uint8_t
     Fuzz,  ///< nvmr_fuzz grid -> text log + manifest
 };
 
-/** Sweep grid (mirrors nvmr_sweep's flags). */
+/** Sweep grid (nvmr_sweep's flags, the job's sweep keys). */
 struct SweepParams
 {
     std::vector<std::string> workloads; ///< empty = all registered
@@ -56,7 +56,7 @@ struct SweepParams
     int traces = 5;
 };
 
-/** Fuzz campaign (mirrors nvmr_fuzz's flags). */
+/** Fuzz campaign (nvmr_fuzz's arguments, the job's fuzz keys). */
 struct FuzzParams
 {
     uint64_t iterations = 100;
@@ -106,9 +106,21 @@ struct JobSpec
     uint64_t cellCount() const;
 };
 
+/**
+ * Complete and check a job's grid, the one set of rules for a spool
+ * job and for the nvmr_sweep / nvmr_fuzz command line. An empty
+ * sweep workload list becomes every registered workload; then
+ * workloads must be registered (or the hidden `spin`), archs and
+ * policies known (spendthrift needs offline training) and non-empty,
+ * caps finite, positive and non-empty, traces in [1, 10], fuzz
+ * iterations in [1, 2^32] and the base seed below 2^63. Returns the
+ * first violation, or "" when the job can run.
+ */
+std::string checkJob(JobSpec &job);
+
 /** Parse one job document. `name` is the job name (filename minus
  *  ".job"). Returns false and fills `error` on malformed JSON, a
- *  wrong schema, unknown keys, or invalid grid values. */
+ *  wrong schema, unknown keys, or a grid checkJob() rejects. */
 bool parseJobText(const std::string &text, const std::string &name,
                   JobSpec &out, std::string &error);
 

@@ -8,7 +8,6 @@
 #include "campaign/campaign.hh"
 #include "campaign/cellio.hh"
 #include "check/fuzzcases.hh"
-#include "check/repro.hh"
 #include "common/exitcodes.hh"
 #include "common/fsutil.hh"
 #include "common/log.hh"
@@ -31,32 +30,43 @@ cancelSet(const std::atomic<bool> *cancel)
     return cancel && cancel->load(std::memory_order_relaxed);
 }
 
-std::string
-outPath(const JobRunOptions &opts, const std::string &name,
-        const char *suffix)
+campaign::Options
+campaignOptions(const JobSpec &job, const JobRunOptions &opts)
 {
-    return opts.outDir + "/" + name + suffix;
+    campaign::Options copts;
+    copts.journalPath = opts.journalPath;
+    copts.resume = opts.resume;
+    copts.watchdogCycles = job.watchdogCycles;
+    copts.watchdogRetries = job.watchdogRetries;
+    copts.cancelFlag = opts.cancel;
+    return copts;
 }
 
-/** Translate campaign end state into a job phase. */
-JobPhase
-endPhase(const campaign::Campaign &cam, const JobRunOptions &opts)
+/** Record how the campaign ended in the run's outcome. */
+void
+endCampaign(CampaignRun &run, const campaign::Campaign &cam,
+            const JobRunOptions &opts)
 {
+    JobOutcome &o = run.outcome;
     if (cam.interrupted())
-        return JobPhase::Interrupted;
-    if (cancelSet(opts.cancel))
-        return JobPhase::Cancelled;
-    return JobPhase::Complete;
+        o.phase = JobPhase::Interrupted;
+    else if (cancelSet(opts.cancel))
+        o.phase = JobPhase::Cancelled;
+    o.cellsResumed = cam.resumedCells();
+    o.cellsQuarantined = cam.quarantined().size();
+    o.journalDegraded = cam.journalDegraded();
 }
 
-JobOutcome
-runSweepJob(const JobSpec &job, const JobRunOptions &opts,
-            ProgramCache &programs)
+} // namespace
+
+CampaignRun
+runSweepCampaign(const JobSpec &job, const std::string &tool,
+                 const JobRunOptions &opts, ProgramCache &programs)
 {
-    JobOutcome outcome;
+    CampaignRun run(tool);
     const SweepParams &sp = job.sweep;
 
-    // Names were validated at parse time; the non-fatal lookups here
+    // Names were validated by checkJob; the non-fatal lookups here
     // cannot fail.
     std::vector<ArchKind> arch_kinds(sp.archs.size());
     for (size_t i = 0; i < sp.archs.size(); ++i)
@@ -66,14 +76,8 @@ runSweepJob(const JobSpec &job, const JobRunOptions &opts,
         policyKindFromName(sp.policies[i], policy_kinds[i]);
 
     auto traces = HarvestTrace::standardSet(sp.traces);
-
-    campaign::Options copts;
-    copts.journalPath = opts.journalPath;
-    copts.resume = opts.resume;
-    copts.watchdogCycles = job.watchdogCycles;
-    copts.watchdogRetries = job.watchdogRetries;
-    copts.cancelFlag = opts.cancel;
-    campaign::Campaign cam("nvmr_serve", job.configSpec(), copts);
+    campaign::Campaign cam(tool, job.configSpec(),
+                           campaignOptions(job, opts));
 
     struct Cell
     {
@@ -86,9 +90,14 @@ runSweepJob(const JobSpec &job, const JobRunOptions &opts,
             for (size_t pi = 0; pi < policy_kinds.size(); ++pi)
                 for (double farads : sp.caps)
                     cells.push_back(Cell{wi, ai, pi, farads});
+    auto label = [&](size_t i) {
+        const Cell &c = cells[i];
+        return sp.workloads[c.wl] + "/" + sp.archs[c.ai] + "/" +
+               sp.policies[c.pi];
+    };
 
-    // Assembly stays on this (the service) thread, and the shared
-    // cache means one decoded image set across every job.
+    // Assemble up front, on this thread, only the workloads that
+    // still have fresh cells to run.
     std::vector<const Program *> images(sp.workloads.size(), nullptr);
     for (size_t i = 0; i < cells.size(); ++i)
         if (!cam.cellDone("grid", i) && !images[cells[i].wl])
@@ -120,50 +129,41 @@ runSweepJob(const JobSpec &job, const JobRunOptions &opts,
                 for (const RunResult &r : runs)
                     if (!r.completed)
                         throw campaign::CellTimeout{
-                            sp.workloads[c.wl] + "/" +
-                            sp.archs[c.ai] + "/" + sp.policies[c.pi] +
-                            " exceeded " +
+                            label(ctx.index) + " exceeded " +
                             std::to_string(ctx.budgetCycles) +
                             " cycles on trace " + r.trace};
             return campaign::encodeRunResults(runs);
         });
 
-    outcome.phase = endPhase(cam, opts);
-    outcome.cellsResumed = cam.resumedCells();
-    outcome.cellsQuarantined = cam.quarantined().size();
-    outcome.journalDegraded = cam.journalDegraded();
-    if (outcome.phase == JobPhase::Cancelled)
-        return outcome; // the retry re-runs from the journal
+    endCampaign(run, cam, opts);
+    if (run.outcome.phase == JobPhase::Cancelled)
+        return run; // the retry re-runs from the journal
 
-    // Render the CSV exactly as nvmr_sweep prints it, then land it
-    // atomically next to the manifest.
-    std::string csv =
-        "workload,arch,policy,capacitor_f,total_uj,forward_uj,"
-        "overhead_uj,backup_uj,restore_uj,reclaim_uj,dead_uj,"
-        "backups,violations,renames,reclaims,power_failures,"
-        "nvm_writes,max_wear,completed,validated\n";
-    ManifestWriter manifest("nvmr_serve");
+    run.text = "workload,arch,policy,capacitor_f,total_uj,forward_uj,"
+               "overhead_uj,backup_uj,restore_uj,reclaim_uj,dead_uj,"
+               "backups,violations,renames,reclaims,power_failures,"
+               "nvm_writes,max_wear,completed,validated\n";
     if (!cells.empty()) {
         SystemConfig cfg;
         cfg.capacitorFarads = cells[0].farads;
-        manifest.setConfig(cfg);
+        run.manifest.setConfig(cfg);
     }
     for (size_t i = 0; i < cells.size(); ++i) {
         if (cell_results[i].status != campaign::CellStatus::Done)
-            continue;
+            continue; // quarantined or interrupt-skipped: no row
         const Cell &c = cells[i];
         std::vector<RunResult> runs;
         if (!campaign::decodeRunResults(cell_results[i].payload,
                                         runs)) {
-            outcome.failReason =
+            run.outcome.failReason =
                 "corrupt journal payload for sweep cell " +
                 std::to_string(i);
-            outcome.resultCode = kExitDegraded;
-            return outcome;
+            run.outcome.resultCode = kExitDegraded;
+            return run;
         }
         Aggregate a = aggregate(runs);
         for (const RunResult &r : runs)
-            manifest.addRun(r);
+            run.manifest.addRun(r);
         char row[512];
         std::snprintf(
             row, sizeof(row),
@@ -185,64 +185,70 @@ runSweepJob(const JobSpec &job, const JobRunOptions &opts,
             a.violations, a.renames, a.reclaims, a.powerFailures,
             a.nvmWrites, a.maxWear, a.allCompleted ? 1 : 0,
             a.allValidated ? 1 : 0);
-        csv += row;
+        run.text += row;
     }
+    run.rendered = true;
 
-    int rc = kExitOk;
-    std::string err;
-    if (!atomicWriteFile(outPath(opts, job.name, ".csv"), csv, &err)) {
-        warn("job ", job.name, ": cannot write CSV: ", err);
-        rc = kExitDegraded;
-    }
-    manifest.addExtra("job", job.name);
-    manifest.addExtra("cells", static_cast<double>(cells.size()));
-    manifest.addExtra("traces_per_cell",
-                      static_cast<double>(traces.size()));
-    manifest.addExtra("result",
-                      outcome.phase == JobPhase::Interrupted
+    for (const auto &q : cam.quarantined())
+        warn("quarantined cell ", q.index, " (", label(q.index),
+             ") after ", q.attempts, " attempt(s): ", q.reason);
+
+    // A spool job's manifest also names the job and its verdict.
+    if (!job.name.empty())
+        run.manifest.addExtra("job", job.name);
+    run.manifest.addExtra("cells", static_cast<double>(cells.size()));
+    run.manifest.addExtra("traces_per_cell",
+                          static_cast<double>(traces.size()));
+    if (!job.name.empty())
+        run.manifest.addExtra(
+            "result", run.outcome.phase == JobPhase::Interrupted
                           ? "interrupted"
                           : (cam.quarantined().empty() ? "ok"
                                                        : "quarantined"));
-    manifest.addExtraJson(
+    run.manifest.addExtraJson(
         "quarantine",
         cam.quarantineJson([&](const campaign::QuarantineEntry &q) {
-            const Cell &c = cells[q.index];
-            return sp.workloads[c.wl] + "/" + sp.archs[c.ai] + "/" +
-                   sp.policies[c.pi];
+            return label(q.index);
         }));
-    if (!manifest.tryWriteFile(outPath(opts, job.name, ".stats.json")))
-        rc = kExitDegraded;
-    outcome.resultCode =
-        outcome.phase == JobPhase::Complete ? cam.exitCode(rc) : rc;
-    return outcome;
+    run.outcome.resultCode = cam.exitCode(kExitOk);
+    return run;
 }
 
-JobOutcome
-runFuzzJob(const JobSpec &job, const JobRunOptions &opts)
+CampaignRun
+runFuzzCampaign(const JobSpec &job, const std::string &tool,
+                const JobRunOptions &opts, const LineSink &sink)
 {
-    JobOutcome outcome;
+    CampaignRun run(tool);
     const FuzzParams &fp = job.fuzz;
+    campaign::Campaign cam(tool, job.configSpec(),
+                           campaignOptions(job, opts));
+    auto emit = [&](const std::string &line) {
+        run.text += line;
+        if (sink)
+            sink(line);
+    };
 
-    campaign::Options copts;
-    copts.journalPath = opts.journalPath;
-    copts.resume = opts.resume;
-    copts.watchdogCycles = job.watchdogCycles;
-    copts.watchdogRetries = job.watchdogRetries;
-    copts.cancelFlag = opts.cancel;
-    campaign::Campaign cam("nvmr_serve", job.configSpec(), copts);
-
-    ManifestWriter manifest("nvmr_serve");
-    std::string log;
-    uint64_t runs = 0;
-    bool diverged = false;
-
+    // Fan (program, case) pairs across the engine in chunks of 10
+    // programs. Workers only simulate; this thread scans each chunk's
+    // outcomes in canonical order, so the first failure reported --
+    // and the run count at that point -- is the same whatever the
+    // worker count. Each chunk is one campaign stage: clean cells are
+    // journaled, so a resume skips straight past fully-checked chunks
+    // without even re-assembling their programs.
     struct Pair
     {
         uint64_t seed;
-        uint64_t caseIdx;
-        size_t prog;
+        uint64_t caseIdx; ///< 1-based index into fuzzCases()
+        size_t prog;      ///< index into the chunk's program vector
     };
     constexpr uint64_t kChunkProgs = 10;
+    uint64_t cases_per_prog =
+        fuzzCaseCount() - (fp.faults ? 1 : 0); // ideal skipped on
+                                               // faults
+    par::Progress progress("fuzz", fp.iterations * cases_per_prog);
+
+    uint64_t runs = 0;
+    bool diverged = false;
     for (uint64_t i = 0;
          i < fp.iterations && !cam.interrupted() && !diverged &&
          !cancelSet(opts.cancel);
@@ -253,6 +259,9 @@ runFuzzJob(const JobSpec &job, const JobRunOptions &opts)
         for (uint64_t p = 0; p < chunk; ++p) {
             uint64_t seed = fp.baseSeed + i + p;
             for (uint64_t ci = 1; ci <= fuzzCaseCount(); ++ci) {
+                // Ideal relies on the perfect-JIT assumption that
+                // power never fails unexpectedly; injected crashes
+                // break it.
                 if (fp.faults &&
                     fuzzCases()[ci - 1].arch == ArchKind::Ideal)
                     continue;
@@ -265,7 +274,8 @@ runFuzzJob(const JobSpec &job, const JobRunOptions &opts)
         std::vector<std::string> texts(chunk);
         std::vector<Program> progs(chunk);
         if (any_fresh) {
-            // Assembly stays on the service thread.
+            // Assembly stays on this thread: workers must not race
+            // the assembler caches.
             for (uint64_t p = 0; p < chunk; ++p) {
                 uint64_t seed = fp.baseSeed + i + p;
                 texts[p] = makeRandomProgram(seed);
@@ -273,6 +283,9 @@ runFuzzJob(const JobSpec &job, const JobRunOptions &opts)
                                     texts[p]);
             }
         }
+        // Failure detail rides in this side table; the journal only
+        // carries an "ok" marker (failures are never journaled, so a
+        // resumed campaign re-runs and reproduces them).
         std::vector<FuzzOutcome> outs(pairs.size());
         auto results = cam.runStage(
             stage, pairs.size(),
@@ -300,104 +313,75 @@ runFuzzJob(const JobSpec &job, const JobRunOptions &opts)
                     return std::nullopt;
                 }
                 return std::string("ok");
-            });
+            },
+            &progress);
         for (size_t k = 0; k < pairs.size(); ++k) {
             const campaign::CellResult &res = results[k];
             if (res.status == campaign::CellStatus::Skipped ||
                 res.status == campaign::CellStatus::Quarantined)
-                continue;
+                continue; // interrupt / reported at the end
             if (res.status == campaign::CellStatus::Failed) {
+                // Only failures land in the manifest: a campaign
+                // makes tens of thousands of runs and the
+                // interesting ones are the repros.
                 const Pair &pr = pairs[k];
-                const FuzzCase &c = fuzzCases()[pr.caseIdx - 1];
-                manifest.addRun(outs[k].run);
-                char line[256];
-                std::snprintf(
-                    line, sizeof(line),
-                    "FAILURE: seed %llu on %s/%s at %g F\n"
-                    "repro: nvmr_fuzz%s%s --one %llu %llu\n",
-                    static_cast<unsigned long long>(pr.seed),
-                    archKindName(c.arch), policyKindName(c.policy),
-                    c.farads, fp.faults ? " --faults" : "",
-                    fp.oracle ? " --oracle" : "",
-                    static_cast<unsigned long long>(pr.seed),
-                    static_cast<unsigned long long>(pr.caseIdx));
-                log += line;
-                if (!outs[k].checkText.empty())
-                    log += outs[k].checkText;
+                run.manifest.addRun(outs[k].run);
+                emit(renderFuzzFailure(outs[k], pr.seed, pr.caseIdx,
+                                       fp.faults, fp.oracle));
+                run.divergence = std::move(outs[k]);
                 diverged = true;
                 break;
             }
             ++runs;
         }
-        if (!diverged) {
-            uint64_t done = i + chunk;
-            if (done % 10 == 0 && !cam.interrupted()) {
-                char line[128];
-                std::snprintf(
-                    line, sizeof(line),
-                    "%llu programs, %llu runs, all consistent\n",
-                    static_cast<unsigned long long>(done),
-                    static_cast<unsigned long long>(runs));
-                log += line;
-            }
-        }
+        uint64_t done = i + chunk;
+        if (!diverged && done % 10 == 0 && !cam.interrupted())
+            emit(std::to_string(done) + " programs, " +
+                 std::to_string(runs) + " runs, all consistent\n");
     }
+    progress.finish();
 
-    outcome.phase = endPhase(cam, opts);
-    outcome.cellsResumed = cam.resumedCells();
-    outcome.cellsQuarantined = cam.quarantined().size();
-    outcome.journalDegraded = cam.journalDegraded();
-    if (outcome.phase == JobPhase::Cancelled && !diverged)
-        return outcome;
+    endCampaign(run, cam, opts);
+    if (run.outcome.phase == JobPhase::Cancelled && !diverged)
+        return run;
 
     const char *result = "no divergence";
-    int rc = kExitOk;
+    int verdict = kExitOk;
     if (diverged) {
-        outcome.failReason = "divergence";
+        run.outcome.failReason = "divergence";
         result = "divergence";
-        rc = kExitMismatch;
+        verdict = kExitMismatch;
         // A divergence is a final verdict even if the deadline also
         // fired; resumes reproduce it (failures are never journaled).
-        outcome.phase = JobPhase::Complete;
-    } else if (outcome.phase == JobPhase::Interrupted) {
-        char line[96];
-        std::snprintf(line, sizeof(line),
-                      "interrupted: %llu clean runs checkpointed\n",
-                      static_cast<unsigned long long>(runs));
-        log += line;
+        run.outcome.phase = JobPhase::Complete;
+    } else if (run.outcome.phase == JobPhase::Interrupted) {
+        emit("interrupted: " + std::to_string(runs) +
+             " clean runs checkpointed\n");
         result = "interrupted";
     } else {
+        for (const auto &q : cam.quarantined())
+            warn("quarantined ", q.stage, "/", q.index, " after ",
+                 q.attempts, " attempt(s): ", q.reason);
         if (!cam.quarantined().empty())
             result = "quarantined";
-        char line[96];
-        std::snprintf(line, sizeof(line),
-                      "fuzzing done: %llu runs, no divergence\n",
-                      static_cast<unsigned long long>(runs));
-        log += line;
+        emit("fuzzing done: " + std::to_string(runs) +
+             " runs, no divergence\n");
     }
+    run.rendered = true;
 
-    std::string err;
-    if (!atomicWriteFile(outPath(opts, job.name, ".out"), log, &err)) {
-        warn("job ", job.name, ": cannot write log: ", err);
-        rc = rc == kExitOk ? kExitDegraded : rc;
-    }
-    manifest.addExtra("job", job.name);
-    manifest.addExtra("iterations",
-                      static_cast<double>(fp.iterations));
-    manifest.addExtra("base_seed", static_cast<double>(fp.baseSeed));
-    manifest.addExtra("faults_mode", fp.faults ? 1.0 : 0.0);
-    manifest.addExtra("oracle_mode", fp.oracle ? 1.0 : 0.0);
-    manifest.addExtra("runs", static_cast<double>(runs));
-    manifest.addExtra("result", result);
-    manifest.addExtraJson("quarantine", cam.quarantineJson());
-    if (!manifest.tryWriteFile(outPath(opts, job.name, ".stats.json")))
-        rc = rc == kExitOk ? kExitDegraded : rc;
-    outcome.resultCode =
-        outcome.phase == JobPhase::Complete ? cam.exitCode(rc) : rc;
-    return outcome;
+    if (!job.name.empty())
+        run.manifest.addExtra("job", job.name);
+    run.manifest.addExtra("iterations",
+                          static_cast<double>(fp.iterations));
+    run.manifest.addExtra("base_seed", static_cast<double>(fp.baseSeed));
+    run.manifest.addExtra("faults_mode", fp.faults ? 1.0 : 0.0);
+    run.manifest.addExtra("oracle_mode", fp.oracle ? 1.0 : 0.0);
+    run.manifest.addExtra("runs", static_cast<double>(runs));
+    run.manifest.addExtra("result", result);
+    run.manifest.addExtraJson("quarantine", cam.quarantineJson());
+    run.outcome.resultCode = cam.exitCode(verdict);
+    return run;
 }
-
-} // namespace
 
 const Program &
 ProgramCache::get(const std::string &workload)
@@ -418,9 +402,27 @@ JobOutcome
 runJob(const JobSpec &job, const JobRunOptions &opts,
        ProgramCache &programs)
 {
-    if (job.type == JobType::Fuzz)
-        return runFuzzJob(job, opts);
-    return runSweepJob(job, opts, programs);
+    CampaignRun run =
+        job.type == JobType::Fuzz
+            ? runFuzzCampaign(job, "nvmr_serve", opts)
+            : runSweepCampaign(job, "nvmr_serve", opts, programs);
+    if (!run.rendered)
+        return run.outcome;
+
+    // Land the artifacts atomically; failing to is a degraded
+    // result, never a lost verdict.
+    std::string base = opts.outDir + "/" + job.name;
+    std::string path =
+        base + (job.type == JobType::Fuzz ? ".out" : ".csv");
+    std::string err;
+    bool written = atomicWriteFile(path, run.text, &err);
+    if (!written)
+        warn("job ", job.name, ": cannot write ", path, ": ", err);
+    written = run.manifest.tryWriteFile(base + ".stats.json") &&
+              written;
+    if (!written && run.outcome.resultCode == kExitOk)
+        run.outcome.resultCode = kExitDegraded;
+    return run.outcome;
 }
 
 } // namespace nvmr::serve

@@ -4,10 +4,11 @@
 #  with --once and exit 0, leaves complete per-job outputs and a
 #  final nvmr-serve-v1 snapshot behind, and nvmr_report renders the
 #  snapshot (exit 2 on any schema violation, so exit 0 is the real
-#  assertion). The service renders the sweep CSV and the fuzz log
-#  itself (serve/runner.cc), so each job output must also be
-#  byte-identical to the stdout of the CLI tool run on the same job:
-#  nvmr_sweep for sweep1.csv, nvmr_fuzz for fuzz1.out.
+#  assertion). The service and the CLI tools run one shared sweep
+#  and fuzz campaign implementation (serve/runner.cc), so each job
+#  output must also be byte-identical to the stdout of the CLI tool
+#  run on the same job: nvmr_sweep for sweep1.csv, nvmr_fuzz for
+#  fuzz1.out.
 #
 #  Phase B -- a degraded spool (a poison `spin` job with a wall-clock
 #  deadline, an unparseable job file, and the same healthy sweep job)

@@ -1,8 +1,9 @@
 # nvmr_sweep must refuse a grid it cannot run instead of printing
 # rows built from zero runs: every bad --traces / --caps value below
 # has to die with fatal (exit 2, kExitUsage) and print no CSV. The
-# rules match the serve job schema (serve::parseJobText): traces is a
-# whole number in [1, 10], caps are positive numbers. A malformed
+# rules are the serve job schema's (serve::checkJob): traces is a
+# whole number in [1, 10], caps are finite positive numbers, archs
+# and policies are non-empty. A malformed
 # watchdog budget dies the same way instead of silently disabling the
 # watchdog (retries must also fit an unsigned). Invoked by the
 # `sweep-bad-args` ctest:
@@ -23,6 +24,9 @@ foreach(bad
         "--caps;-0.1"
         "--caps;abc"
         "--caps;,"
+        "--caps;1e999"
+        "--archs;,"
+        "--policies;,"
         "--watchdog-cycles;abc"
         "--watchdog-cycles;-5"
         "--watchdog-retries;x"

@@ -209,6 +209,60 @@ TEST(JobParse, RejectsMalformedJobs)
         "j", spec, error));
     // Invalid JSON.
     EXPECT_FALSE(serve::parseJobText("{", "j", spec, error));
+    // A capacitance that overflows to infinity.
+    EXPECT_FALSE(serve::parseJobText(
+        "{\"schema\":\"nvmr-job-v1\",\"type\":\"sweep\","
+        "\"caps\":[1e999]}",
+        "j", spec, error));
+    EXPECT_NE(error.find("caps"), std::string::npos) << error;
+    // No traces.
+    EXPECT_FALSE(serve::parseJobText(
+        "{\"schema\":\"nvmr-job-v1\",\"type\":\"sweep\","
+        "\"traces\":0}",
+        "j", spec, error));
+    EXPECT_NE(error.find("traces"), std::string::npos) << error;
+}
+
+/* ---------------------- Fuzz failure report ---------------------- */
+
+// nvmr_fuzz prints and a served fuzz job logs this one rendering;
+// no fuzz case diverges on demand, so pin it on synthetic outcomes.
+TEST(FuzzFailure, RendersFaultsModeReport)
+{
+    FuzzOutcome out;
+    out.ok = false;
+    out.run.completed = true;
+    out.haveFaults = true;
+    out.faults.crashAtPersist = 17;
+    out.faults.crashAtCycle = 0;
+    out.faults.transientBitErrorRate = 2e-5;
+    // Case 12 is nvmr/watchdog at 500 uF with byte-granular LBFs.
+    EXPECT_EQ(renderFuzzFailure(out, 42, 12, true, false),
+              "\nFAILURE: seed 42 on nvmr/watchdog at 0.0005 F: "
+              "final state diverged\n"
+              "faults: crashAtPersist=17 crashAtCycle=0 "
+              "transientBitErrorRate=2e-05\n"
+              "repro: nvmr_fuzz --faults --one 42 12   "
+              "# nvmr/watchdog at 0.0005 F (byte LBF)\n");
+    out.run.completed = false;
+    out.haveFaults = false;
+    EXPECT_EQ(renderFuzzFailure(out, 5, 1, false, false),
+              "\nFAILURE: seed 5 on clank/jit at 0.1 F: "
+              "did not complete\n"
+              "repro: nvmr_fuzz --one 5 1   # clank/jit at 0.1 F\n");
+}
+
+TEST(FuzzFailure, RendersOracleModeReport)
+{
+    FuzzOutcome out;
+    out.ok = false;
+    out.haveFaults = true; // oracle mode reports the oracle's text
+    out.checkText = "oracle: final NVM differs\n  word 0x40: 1 != 2\n";
+    EXPECT_EQ(renderFuzzFailure(out, 7, 5, true, true),
+              "\nFAILURE: seed 7 on nvmr/jit at 0.1 F: "
+              "oracle: final NVM differs\n  word 0x40: 1 != 2\n"
+              "repro: nvmr_fuzz --faults --oracle --one 7 5   "
+              "# nvmr/jit at 0.1 F\n");
 }
 
 /* ------------------- Journal re-probe recovery ------------------- */
