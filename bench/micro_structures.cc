@@ -18,6 +18,7 @@
 #include "mem/bloom.hh"
 #include "mem/cache.hh"
 #include "sim/simulator.hh"
+#include "test_meter.hh"
 #include "workloads/workloads.hh"
 
 namespace nvmr
@@ -29,9 +30,9 @@ void
 BM_CacheLookupHit(benchmark::State &state)
 {
     TechParams tech;
-    NullEnergySink sink;
+    TestMeter meter;
     CacheConfig cfg;
-    DataCache cache(cfg, tech, sink);
+    DataCache cache(cfg, tech, meter);
     std::vector<Word> data(cfg.wordsPerBlock(), 1);
     for (uint32_t i = 0; i < cfg.numBlocks(); ++i)
         cache.fill(cache.victim(i * 16), i * 16, data);
@@ -47,9 +48,9 @@ void
 BM_CacheFill(benchmark::State &state)
 {
     TechParams tech;
-    NullEnergySink sink;
+    TestMeter meter;
     CacheConfig cfg;
-    DataCache cache(cfg, tech, sink);
+    DataCache cache(cfg, tech, meter);
     std::vector<Word> data(cfg.wordsPerBlock(), 1);
     Addr a = 0;
     for (auto _ : state) {
@@ -63,9 +64,9 @@ void
 BM_BloomInsertLookup(benchmark::State &state)
 {
     TechParams tech;
-    NullEnergySink sink;
+    TestMeter meter;
     BloomFilter bf(static_cast<unsigned>(state.range(0)), 1, tech,
-                   sink);
+                   meter);
     Addr a = 0;
     for (auto _ : state) {
         bf.insert(a);
@@ -79,8 +80,8 @@ void
 BM_MtCacheLookup(benchmark::State &state)
 {
     TechParams tech;
-    NullEnergySink sink;
-    MapTableCache mtc(512, 8, tech, sink);
+    TestMeter meter;
+    MapTableCache mtc(512, 8, tech, meter);
     for (Addr a = 0; a < 512 * 16; a += 16)
         mtc.install(mtc.victim(a), a, a, a, false, true);
     Addr a = 0;
@@ -95,8 +96,8 @@ void
 BM_MapTableSetLookup(benchmark::State &state)
 {
     TechParams tech;
-    NullEnergySink sink;
-    MapTable mt(4096, tech, sink);
+    TestMeter meter;
+    MapTable mt(4096, tech, meter);
     Addr a = 0;
     for (auto _ : state) {
         mt.set(a & 0xffff, a);
@@ -110,8 +111,8 @@ void
 BM_FreeListPopPush(benchmark::State &state)
 {
     TechParams tech;
-    NullEnergySink sink;
-    FreeList fl(4609, tech, sink);
+    TestMeter meter;
+    FreeList fl(4609, tech, meter);
     fl.initFill(0x100000, 16, 4609);
     for (auto _ : state) {
         Addr a = fl.pop();

@@ -38,9 +38,9 @@ archKindName(ArchKind kind)
 }
 
 IntermittentArch::IntermittentArch(const SystemConfig &config, Nvm &nvm_,
-                                   EnergySink &snk)
-    : cfg(config), nvm(nvm_), sink(snk), cache(config.cache,
-                                              config.tech, snk)
+                                   EnergyMeter &mtr)
+    : cfg(config), nvm(nvm_), meter(mtr), cache(config.cache,
+                                              config.tech, mtr)
 {
     statRegistry.add(&archStats.backups);
     statRegistry.add(&archStats.violations);
@@ -98,10 +98,10 @@ IntermittentArch::access(Addr addr, uint32_t nbytes, bool is_store)
     CacheLine *line;
     if (lbfTracking) {
         // Dominance-tracking hot path: the SRAM lookup and the LBF
-        // state update are charged in one batched sink call and the
+        // state update are charged in one batched meter call and the
         // span touch is inlined, so a cache hit costs no virtual
         // dispatch.
-        sink.consume(cfg.tech.cacheAccessNj + cfg.tech.bloomNj);
+        meter.consume(cfg.tech.cacheAccessNj + cfg.tech.bloomNj);
         line = cache.lookupUncharged(block);
         if (!line)
             line = &handleMiss(block);
@@ -195,13 +195,13 @@ IntermittentArch::persistSnapshot(const CpuSnapshot &snap)
     if (faults && faults->enabled()) {
         for (unsigned i = 0; i < CpuSnapshot::persistWords; ++i) {
             faults->persistPoint();
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            meter.addCycles(cfg.tech.flashWriteCycles);
+            meter.consume(cfg.tech.flashWriteWordNj);
         }
     } else {
         for (unsigned i = 0; i < CpuSnapshot::persistWords; ++i) {
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            meter.addCycles(cfg.tech.flashWriteCycles);
+            meter.consume(cfg.tech.flashWriteWordNj);
         }
     }
     BackupSlot &target = snapSlots[1 - activeSlot];
@@ -302,13 +302,13 @@ IntermittentArch::chargeJournalWrite(uint64_t words)
         // accounting).
         for (uint64_t w = 0; w < words; ++w) {
             faults->persistPoint();
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            meter.addCycles(cfg.tech.flashWriteCycles);
+            meter.consume(cfg.tech.flashWriteWordNj);
         }
     } else {
-        sink.addCycles(words * cfg.tech.flashWriteCycles);
-        sink.consume(static_cast<double>(words) *
-                     cfg.tech.flashWriteWordNj);
+        meter.addCycles(words * cfg.tech.flashWriteCycles);
+        meter.consume(static_cast<double>(words) *
+                      cfg.tech.flashWriteWordNj);
     }
 }
 
@@ -350,8 +350,8 @@ IntermittentArch::performRestore()
     // Read back registers + PC from the slot whose commit record
     // matches the last committed sequence number.
     for (unsigned i = 0; i < CpuSnapshot::persistWords; ++i) {
-        sink.addCycles(cfg.tech.flashReadCycles);
-        sink.consume(cfg.tech.flashReadWordNj);
+        meter.addCycles(cfg.tech.flashReadCycles);
+        meter.consume(cfg.tech.flashReadWordNj);
     }
     ++archStats.restores;
     panic_if(snapSlots[activeSlot].seq != committedSeq,
@@ -456,9 +456,9 @@ IntermittentArch::inspectWord(Addr addr) const
 // ----------------------------------------------------------------------
 
 DominanceArch::DominanceArch(const SystemConfig &config, Nvm &nvm_,
-                             EnergySink &snk)
-    : IntermittentArch(config, nvm_, snk),
-      gbf(config.gbfBits, config.gbfHashes, config.tech, snk)
+                             EnergyMeter &mtr)
+    : IntermittentArch(config, nvm_, mtr),
+      gbf(config.gbfBits, config.gbfHashes, config.tech, mtr)
 {
     lbfTracking = true;
 }
@@ -467,7 +467,7 @@ void
 DominanceArch::onAccess(CacheLine &line, uint32_t offset_in_block,
                         uint32_t nbytes, bool is_store)
 {
-    sink.consume(cfg.tech.bloomNj); // LBF state update
+    meter.consume(cfg.tech.bloomNj); // LBF state update
     line.touchSpan(offset_in_block, nbytes, is_store);
 }
 

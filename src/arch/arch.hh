@@ -29,7 +29,7 @@
 #include "mem/nvm.hh"
 #include "mem/port.hh"
 #include "obs/trace.hh"
-#include "power/energy.hh"
+#include "power/meter.hh"
 #include "sim/config.hh"
 
 namespace nvmr
@@ -98,7 +98,7 @@ class IntermittentArch : public DataPort
 {
   public:
     IntermittentArch(const SystemConfig &cfg, Nvm &nvm,
-                     EnergySink &sink);
+                     EnergyMeter &meter);
     ~IntermittentArch() override = default;
 
     /** Human-readable architecture name. */
@@ -239,7 +239,7 @@ class IntermittentArch : public DataPort
   protected:
     const SystemConfig &cfg;
     Nvm &nvm;
-    EnergySink &sink;
+    EnergyMeter &meter;
     DataCache cache;
     BackupHost *host = nullptr;
     FaultInjector *faults = nullptr;
@@ -414,7 +414,7 @@ class IntermittentArch : public DataPort
 class DominanceArch : public IntermittentArch
 {
   public:
-    DominanceArch(const SystemConfig &cfg, Nvm &nvm, EnergySink &sink);
+    DominanceArch(const SystemConfig &cfg, Nvm &nvm, EnergyMeter &meter);
 
     void onPowerFail() override;
 

@@ -6,8 +6,8 @@ namespace nvmr
 {
 
 ClankArch::ClankArch(const SystemConfig &config, Nvm &nvm_,
-                     EnergySink &snk)
-    : DominanceArch(config, nvm_, snk)
+                     EnergyMeter &mtr)
+    : DominanceArch(config, nvm_, mtr)
 {
 }
 

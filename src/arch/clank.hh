@@ -20,7 +20,7 @@ namespace nvmr
 class ClankArch : public DominanceArch
 {
   public:
-    ClankArch(const SystemConfig &cfg, Nvm &nvm, EnergySink &sink);
+    ClankArch(const SystemConfig &cfg, Nvm &nvm, EnergyMeter &meter);
 
     const char *name() const override { return "clank"; }
 

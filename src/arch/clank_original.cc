@@ -6,15 +6,15 @@ namespace nvmr
 {
 
 ClankOriginalArch::ClankOriginalArch(const SystemConfig &config,
-                                     Nvm &nvm_, EnergySink &snk)
-    : IntermittentArch(config, nvm_, snk)
+                                     Nvm &nvm_, EnergyMeter &mtr)
+    : IntermittentArch(config, nvm_, mtr)
 {
 }
 
 void
 ClankOriginalArch::trackAccess(Addr word_addr, bool is_store)
 {
-    sink.consume(kBufferTouchNj);
+    meter.consume(kBufferTouchNj);
     if (readFirst.count(word_addr)) {
         if (!is_store)
             return; // reads of read-first addresses are free
@@ -26,7 +26,7 @@ ClankOriginalArch::trackAccess(Addr word_addr, bool is_store)
             tracer->record(EventKind::Violation, word_addr);
         panic_if(!host, "ClankOriginalArch needs a BackupHost");
         host->requestBackup(BackupReason::IdempotencyViolation);
-        sink.consume(kBufferTouchNj);
+        meter.consume(kBufferTouchNj);
         writeFirst.insert(word_addr);
         return;
     }
@@ -42,7 +42,7 @@ ClankOriginalArch::trackAccess(Addr word_addr, bool is_store)
     if (buffer.size() >= capacity) {
         panic_if(!host, "ClankOriginalArch needs a BackupHost");
         host->requestBackup(BackupReason::BufferFull);
-        sink.consume(kBufferTouchNj);
+        meter.consume(kBufferTouchNj);
     }
     buffer.insert(word_addr);
 }
@@ -90,28 +90,28 @@ ClankOriginalArch::storeByte(Addr addr, uint8_t value)
     // is idempotent by itself and marks the word read-first, so any
     // later full-word store gets caught.
     Addr word = addr & ~3u;
-    sink.consume(kBufferTouchNj);
+    meter.consume(kBufferTouchNj);
     if (readFirst.count(word)) {
         ++archStats.violations;
         if (tracer)
             tracer->record(EventKind::Violation, word);
         panic_if(!host, "ClankOriginalArch needs a BackupHost");
         host->requestBackup(BackupReason::IdempotencyViolation);
-        sink.consume(kBufferTouchNj);
+        meter.consume(kBufferTouchNj);
         readFirst.insert(word);
     } else if (!writeFirst.count(word)) {
         if (readFirst.size() >= cfg.rfBufferEntries) {
             panic_if(!host, "ClankOriginalArch needs a BackupHost");
             host->requestBackup(BackupReason::BufferFull);
-            sink.consume(kBufferTouchNj);
+            meter.consume(kBufferTouchNj);
         }
         readFirst.insert(word);
     }
     if (tracer)
         tracer->record(EventKind::MemAccess, addr, (1ull << 8) | 1);
     Word w = nvm.inspectWord(word); // RMW read, charged as a read
-    sink.addCycles(cfg.tech.flashReadCycles);
-    sink.consume(cfg.tech.flashReadWordNj);
+    meter.addCycles(cfg.tech.flashReadCycles);
+    meter.consume(cfg.tech.flashReadWordNj);
     unsigned shift = 8 * (addr & 3u);
     w = (w & ~(0xffu << shift)) | (static_cast<Word>(value) << shift);
     nvm.writeWord(word, w);

@@ -32,7 +32,7 @@ class ClankOriginalArch : public IntermittentArch
 {
   public:
     ClankOriginalArch(const SystemConfig &cfg, Nvm &nvm,
-                      EnergySink &sink);
+                      EnergyMeter &meter);
 
     const char *name() const override { return "clank_original"; }
 

@@ -16,8 +16,8 @@ constexpr NanoJoules kOopBufferTouchNj = 0.2;
 } // namespace
 
 HoopArch::HoopArch(const SystemConfig &config, Nvm &nvm_,
-                   EnergySink &snk)
-    : IntermittentArch(config, nvm_, snk)
+                   EnergyMeter &mtr)
+    : IntermittentArch(config, nvm_, mtr)
 {
 }
 
@@ -32,7 +32,7 @@ HoopArch::fetchBlock(Addr block_addr, std::span<Word> out)
         Addr addr = block_addr + w * kWordBytes;
         auto buf = bufNewest.find(addr);
         if (buf != bufNewest.end()) {
-            sink.consume(kOopBufferTouchNj);
+            meter.consume(kOopBufferTouchNj);
             out[w] = buf->second;
             continue;
         }
@@ -43,8 +43,8 @@ HoopArch::fetchBlock(Addr block_addr, std::span<Word> out)
             // serve SRAM-held data and only charge at NVM scale).
             out[w] = nvm.readWord(addr);
         } else {
-            sink.addCycles(cfg.tech.flashReadCycles);
-            sink.consume(cfg.tech.flashReadWordNj);
+            meter.addCycles(cfg.tech.flashReadCycles);
+            meter.consume(cfg.tech.flashReadWordNj);
             out[w] = log != committedLog.end() ? log->second
                                                : nvm.inspectWord(addr);
         }
@@ -70,7 +70,7 @@ HoopArch::evictLine(CacheLine &line)
             panic_if(line.dirty, "backup left the line dirty");
             return;
         }
-        sink.consume(kOopBufferTouchNj);
+        meter.consume(kOopBufferTouchNj);
         oopBuffer.emplace_back(addr, line.data[w]);
         bufNewest[addr] = line.data[w];
         if (line.blockAddr != bufLastBlock) {
@@ -115,9 +115,9 @@ HoopArch::garbageCollect()
 {
     // Scan the log (one read per region entry) and apply the latest
     // committed value of every word to its home address.
-    sink.addCycles(regionFill * cfg.tech.flashReadCycles);
-    sink.consume(static_cast<double>(regionFill) *
-                 cfg.tech.flashReadWordNj);
+    meter.addCycles(regionFill * cfg.tech.flashReadCycles);
+    meter.consume(static_cast<double>(regionFill) *
+                  cfg.tech.flashReadWordNj);
     if (tracer)
         tracer->record(EventKind::OopGc, committedLog.size(),
                        regionFill);
@@ -178,12 +178,12 @@ HoopArch::flushBufferToRegion()
     for (const auto &[addr, val] : updates) {
         Addr block = addr & ~(cfg.cache.blockBytes - 1);
         if (block != prev_block) {
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            meter.addCycles(cfg.tech.flashWriteCycles);
+            meter.consume(cfg.tech.flashWriteWordNj);
             prev_block = block;
         }
-        sink.addCycles(cfg.tech.flashWriteCycles);
-        sink.consume(cfg.tech.flashWriteWordNj);
+        meter.addCycles(cfg.tech.flashWriteCycles);
+        meter.consume(cfg.tech.flashWriteWordNj);
         committedLog[addr] = val;
     }
     regionFill += incoming;
@@ -330,11 +330,13 @@ HoopArch::restoreState(StateReader &r)
         oopBuffer.emplace_back(addr, val);
     }
     uint64_t nnewest = r.u64();
+    r.checkCount(nnewest, sizeof(Addr) + sizeof(Word));
     for (uint64_t i = 0; i < nnewest; ++i) {
         Addr addr = r.pod<Addr>();
         bufNewest[addr] = r.pod<Word>();
     }
     uint64_t nlog = r.u64();
+    r.checkCount(nlog, sizeof(Addr) + sizeof(Word));
     for (uint64_t i = 0; i < nlog; ++i) {
         Addr addr = r.pod<Addr>();
         committedLog[addr] = r.pod<Word>();

@@ -23,7 +23,7 @@ namespace nvmr
 class HoopArch : public IntermittentArch
 {
   public:
-    HoopArch(const SystemConfig &cfg, Nvm &nvm, EnergySink &sink);
+    HoopArch(const SystemConfig &cfg, Nvm &nvm, EnergyMeter &meter);
 
     const char *name() const override { return "hoop"; }
 

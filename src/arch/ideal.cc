@@ -4,8 +4,8 @@ namespace nvmr
 {
 
 IdealArch::IdealArch(const SystemConfig &config, Nvm &nvm_,
-                     EnergySink &snk)
-    : DominanceArch(config, nvm_, snk)
+                     EnergyMeter &mtr)
+    : DominanceArch(config, nvm_, mtr)
 {
 }
 

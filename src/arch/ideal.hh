@@ -19,7 +19,7 @@ namespace nvmr
 class IdealArch : public DominanceArch
 {
   public:
-    IdealArch(const SystemConfig &cfg, Nvm &nvm, EnergySink &sink);
+    IdealArch(const SystemConfig &cfg, Nvm &nvm, EnergyMeter &meter);
 
     const char *name() const override { return "ideal"; }
 

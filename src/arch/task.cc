@@ -6,8 +6,8 @@ namespace nvmr
 {
 
 TaskArch::TaskArch(const SystemConfig &config, Nvm &nvm_,
-                   EnergySink &snk)
-    : ClankArch(config, nvm_, snk)
+                   EnergyMeter &mtr)
+    : ClankArch(config, nvm_, mtr)
 {
 }
 

@@ -22,7 +22,7 @@ namespace nvmr
 class TaskArch : public ClankArch
 {
   public:
-    TaskArch(const SystemConfig &cfg, Nvm &nvm, EnergySink &sink);
+    TaskArch(const SystemConfig &cfg, Nvm &nvm, EnergyMeter &meter);
 
     const char *name() const override { return "task"; }
 

@@ -1,5 +1,6 @@
 #include "campaign/sig.hh"
 
+#include <atomic>
 #include <csignal>
 #include <cstdlib>
 
@@ -11,16 +12,21 @@ namespace nvmr::campaign
 namespace
 {
 
-volatile std::sig_atomic_t gSignal = 0;
+// Written by the handler (on whichever thread takes the signal) and
+// polled by worker and monitor threads: an atomic, not a volatile
+// sig_atomic_t, which is no synchronization between threads. A
+// lock-free atomic is async-signal-safe.
+std::atomic<int> gSignal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 extern "C" void
 campaignSignalHandler(int signo)
 {
     // Second interrupt: the user really means it. _Exit is
     // async-signal-safe; the journal holds every completed cell.
-    if (gSignal != 0)
+    if (gSignal.load(std::memory_order_relaxed) != 0)
         std::_Exit(nvmr::kExitSignalBase + signo);
-    gSignal = signo;
+    gSignal.store(signo, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -40,13 +46,13 @@ installSignalHandlers()
 bool
 interruptRequested()
 {
-    return gSignal != 0;
+    return gSignal.load(std::memory_order_relaxed) != 0;
 }
 
 int
 pendingSignal()
 {
-    return static_cast<int>(gSignal);
+    return gSignal.load(std::memory_order_relaxed);
 }
 
 int
@@ -59,7 +65,7 @@ interruptExitCode()
 void
 setInterruptForTest(int signo)
 {
-    gSignal = signo;
+    gSignal.store(signo, std::memory_order_relaxed);
 }
 
 } // namespace nvmr::campaign

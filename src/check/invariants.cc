@@ -369,6 +369,7 @@ readAddrSet(StateReader &r, std::unordered_set<Addr> &s)
 {
     s.clear();
     uint64_t n = r.u64();
+    r.checkCount(n, sizeof(Addr));
     for (uint64_t i = 0; i < n; ++i)
         s.insert(r.pod<Addr>());
 }
@@ -388,6 +389,7 @@ readAddrMap(StateReader &r, std::unordered_map<Addr, Addr> &m)
 {
     m.clear();
     uint64_t n = r.u64();
+    r.checkCount(n, 2 * sizeof(Addr));
     for (uint64_t i = 0; i < n; ++i) {
         Addr k = r.pod<Addr>();
         m[k] = r.pod<Addr>();

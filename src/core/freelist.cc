@@ -7,8 +7,8 @@ namespace nvmr
 {
 
 FreeList::FreeList(uint32_t cap, const TechParams &params,
-                   EnergySink &snk)
-    : capacity(cap), tech(params), sink(snk)
+                   EnergyMeter &mtr)
+    : capacity(cap), tech(params), meter(mtr)
 {
     fatal_if(cap == 0, "free list needs at least one slot");
     slots.assign(cap, kNoAddr);
@@ -33,8 +33,8 @@ Addr
 FreeList::pop()
 {
     panic_if(count == 0, "pop from empty free list");
-    sink.addCycles(tech.flashReadCycles);
-    sink.consumeOverhead(tech.flashReadWordNj);
+    meter.addCycles(tech.flashReadCycles);
+    meter.consumeOverhead(tech.flashReadWordNj);
     Addr mapping = slots[readPtr];
     readPtr = (readPtr + 1) % capacity;
     --count;
@@ -54,14 +54,14 @@ FreeList::push(Addr mapping)
         // not poppable within the same backup.
         panic_if(count + pendingPushes.size() >= capacity,
                  "push to full free list");
-        sink.addCycles(tech.flashWriteCycles);
-        sink.consumeOverhead(tech.flashWriteWordNj);
+        meter.addCycles(tech.flashWriteCycles);
+        meter.consumeOverhead(tech.flashWriteWordNj);
         pendingPushes.push_back(mapping);
         return;
     }
     panic_if(count == capacity, "push to full free list");
-    sink.addCycles(tech.flashWriteCycles);
-    sink.consumeOverhead(tech.flashWriteWordNj);
+    meter.addCycles(tech.flashWriteCycles);
+    meter.consumeOverhead(tech.flashWriteWordNj);
     slots[writePtr] = mapping;
     writePtr = (writePtr + 1) % capacity;
     ++count;
@@ -74,14 +74,14 @@ FreeList::persistPointers()
         // Two interruptible word writes; the pointer pair only
         // becomes the durable record once both land.
         faults->persistPoint();
-        sink.addCycles(tech.flashWriteCycles);
-        sink.consumeOverhead(tech.flashWriteWordNj);
+        meter.addCycles(tech.flashWriteCycles);
+        meter.consumeOverhead(tech.flashWriteWordNj);
         faults->persistPoint();
-        sink.addCycles(tech.flashWriteCycles);
-        sink.consumeOverhead(tech.flashWriteWordNj);
+        meter.addCycles(tech.flashWriteCycles);
+        meter.consumeOverhead(tech.flashWriteWordNj);
     } else {
-        sink.addCycles(2 * tech.flashWriteCycles);
-        sink.consumeOverhead(2 * tech.flashWriteWordNj);
+        meter.addCycles(2 * tech.flashWriteCycles);
+        meter.consumeOverhead(2 * tech.flashWriteWordNj);
     }
     if (txnActive) {
         // Stage the post-commit pointer state (buffered pushes

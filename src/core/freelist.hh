@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "power/energy.hh"
+#include "power/meter.hh"
 #include "snapshot/state.hh"
 
 namespace nvmr
@@ -30,10 +30,10 @@ class FreeList
     /**
      * @param capacity Maximum number of mappings the list can hold.
      * @param params Technology constants (NVM slot access costs).
-     * @param sink Overhead-energy sink.
+     * @param meter Where overhead energy is charged.
      */
     FreeList(uint32_t capacity, const TechParams &params,
-             EnergySink &sink);
+             EnergyMeter &meter);
 
     /**
      * Fill the list with the reserved region's block addresses
@@ -138,7 +138,7 @@ class FreeList
   private:
     uint32_t capacity;
     const TechParams &tech;
-    EnergySink &sink;
+    EnergyMeter &meter;
     FaultInjector *faults = nullptr;
 
     std::vector<Addr> slots;

@@ -7,8 +7,8 @@ namespace nvmr
 {
 
 MapTable::MapTable(uint32_t capacity, const TechParams &params,
-                   EnergySink &snk)
-    : cap(capacity), tech(params), sink(snk)
+                   EnergyMeter &mtr)
+    : cap(capacity), tech(params), meter(mtr)
 {
     fatal_if(capacity == 0, "map table needs at least one entry");
     map.reserve(capacity);
@@ -18,8 +18,8 @@ std::optional<Addr>
 MapTable::lookup(Addr tag)
 {
     // An entry read: tag + mapping words.
-    sink.addCycles(2 * tech.flashReadCycles);
-    sink.consumeOverhead(2 * tech.flashReadWordNj);
+    meter.addCycles(2 * tech.flashReadCycles);
+    meter.consumeOverhead(2 * tech.flashReadWordNj);
     auto it = map.find(tag);
     if (it == map.end())
         return std::nullopt;
@@ -36,8 +36,8 @@ MapTable::set(Addr tag, Addr mapping)
         faults->persistPoint();
     if (txnActive)
         recordUndo(tag);
-    sink.addCycles(2 * tech.flashWriteCycles);
-    sink.consumeOverhead(2 * tech.flashWriteWordNj);
+    meter.addCycles(2 * tech.flashWriteCycles);
+    meter.consumeOverhead(2 * tech.flashWriteWordNj);
     auto it = map.find(tag);
     if (it != map.end()) {
         it->second.mapping = mapping;
@@ -55,8 +55,8 @@ MapTable::erase(Addr tag)
         faults->persistPoint();
     if (txnActive)
         recordUndo(tag);
-    sink.addCycles(tech.flashWriteCycles);
-    sink.consumeOverhead(tech.flashWriteWordNj);
+    meter.addCycles(tech.flashWriteCycles);
+    meter.consumeOverhead(tech.flashWriteWordNj);
     map.erase(tag);
 }
 

@@ -16,7 +16,7 @@
 #include <utility>
 
 #include "common/types.hh"
-#include "power/energy.hh"
+#include "power/meter.hh"
 #include "snapshot/state.hh"
 
 namespace nvmr
@@ -29,7 +29,7 @@ class MapTable
 {
   public:
     MapTable(uint32_t capacity, const TechParams &params,
-             EnergySink &sink);
+             EnergyMeter &meter);
 
     uint32_t capacity() const { return cap; }
     uint32_t size() const { return static_cast<uint32_t>(map.size()); }
@@ -111,6 +111,7 @@ class MapTable
         undoLog.clear();
         txnActive = false;
         uint64_t n = r.u64();
+        r.checkCount(n, sizeof(Addr) + sizeof(Entry));
         for (uint64_t i = 0; i < n; ++i) {
             Addr tag = r.pod<Addr>();
             map[tag] = r.pod<Entry>();
@@ -127,7 +128,7 @@ class MapTable
 
     uint32_t cap;
     const TechParams &tech;
-    EnergySink &sink;
+    EnergyMeter &meter;
     FaultInjector *faults = nullptr;
     std::unordered_map<Addr, Entry> map;
     uint64_t tick = 0;

@@ -6,9 +6,9 @@ namespace nvmr
 {
 
 MapTableCache::MapTableCache(uint32_t num_entries, uint32_t num_ways,
-                             const TechParams &params, EnergySink &snk)
+                             const TechParams &params, EnergyMeter &mtr)
     : entries(num_entries), ways(num_ways ? num_ways : num_entries),
-      tech(params), sink(snk)
+      tech(params), meter(mtr)
 {
     fatal_if(entries == 0, "map table cache needs entries");
     fatal_if(ways > entries || entries % ways != 0,
@@ -31,7 +31,7 @@ MapTableCache::setOf(Addr tag) const
 MtcEntry *
 MapTableCache::lookup(Addr tag)
 {
-    sink.consumeOverhead(tech.mtCacheAccessNj);
+    meter.consumeOverhead(tech.mtCacheAccessNj);
     uint32_t set = setOf(tag);
     for (uint32_t w = 0; w < ways; ++w) {
         MtcEntry &e = slots[set * ways + w];
@@ -95,7 +95,7 @@ void
 MapTableCache::install(MtcEntry &slot, Addr tag, Addr old_map,
                        Addr new_map, bool dirty, bool in_map_table)
 {
-    sink.consumeOverhead(tech.mtCacheAccessNj);
+    meter.consumeOverhead(tech.mtCacheAccessNj);
     if (slot.valid) {
         if (residency)
             residency->sample(

@@ -18,7 +18,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "obs/trace.hh"
-#include "power/energy.hh"
+#include "power/meter.hh"
 #include "snapshot/state.hh"
 
 namespace nvmr
@@ -50,7 +50,7 @@ class MapTableCache
      * @param ways Associativity; 0 means fully associative.
      */
     MapTableCache(uint32_t entries, uint32_t ways,
-                  const TechParams &params, EnergySink &sink);
+                  const TechParams &params, EnergyMeter &meter);
 
     uint32_t numEntries() const { return entries; }
 
@@ -154,7 +154,7 @@ class MapTableCache
     uint32_t entries;
     uint32_t ways;
     const TechParams &tech;
-    EnergySink &sink;
+    EnergyMeter &meter;
     std::vector<MtcEntry> slots;
     uint64_t tick = 0;
     uint32_t dirtyCnt = 0;

@@ -6,11 +6,11 @@ namespace nvmr
 {
 
 NvmrArch::NvmrArch(const SystemConfig &config, Nvm &nvm_,
-                   EnergySink &snk)
-    : DominanceArch(config, nvm_, snk),
-      mapTable(config.mapTableEntries, config.tech, snk),
-      mtc(config.mtCacheEntries, config.mtCacheWays, config.tech, snk),
-      freeList(config.effectiveFreeListEntries(), config.tech, snk)
+                   EnergyMeter &mtr)
+    : DominanceArch(config, nvm_, mtr),
+      mapTable(config.mapTableEntries, config.tech, mtr),
+      mtc(config.mtCacheEntries, config.mtCacheWays, config.tech, mtr),
+      freeList(config.effectiveFreeListEntries(), config.tech, mtr)
 {
     statRegistry.add(&renameChainDepth);
     statRegistry.add(&mtcResidency);
@@ -186,7 +186,7 @@ NvmrArch::violatingWriteback(CacheLine &line)
     Addr fresh = bugAdjustFresh(freeList.pop());
     entry->newMap = fresh;
     mtc.markDirty(*entry);
-    sink.consumeOverhead(cfg.tech.mtCacheAccessNj);
+    meter.consumeOverhead(cfg.tech.mtCacheAccessNj);
     noteRename(tag, fresh);
     writeBlockTo(fresh, line);
     line.markClean();
@@ -403,8 +403,8 @@ NvmrArch::chargeRecordPersist(unsigned words)
     for (unsigned i = 0; i < words; ++i) {
         if (faults && faults->enabled())
             faults->persistPoint();
-        sink.addCycles(cfg.tech.flashWriteCycles);
-        sink.consumeOverhead(cfg.tech.flashWriteWordNj);
+        meter.addCycles(cfg.tech.flashWriteCycles);
+        meter.consumeOverhead(cfg.tech.flashWriteWordNj);
     }
 }
 
@@ -480,8 +480,8 @@ NvmrArch::performRestore()
 {
     CpuSnapshot snap = IntermittentArch::performRestore();
     // Re-read the persisted free-list pointers.
-    sink.addCycles(2 * cfg.tech.flashReadCycles);
-    sink.consumeOverhead(2 * cfg.tech.flashReadWordNj);
+    meter.addCycles(2 * cfg.tech.flashReadCycles);
+    meter.consumeOverhead(2 * cfg.tech.flashReadWordNj);
     // Finish any reclaim entry a crash cut short (see the reclaim
     // record in the header). Runs before execution resumes so the
     // recovery image and free list are consistent again.
@@ -539,6 +539,7 @@ NvmrArch::restoreState(StateReader &r)
     reserved = r.pod<Addr>();
     renameDepths.clear();
     uint64_t ndepths = r.u64();
+    r.checkCount(ndepths, sizeof(Addr) + sizeof(uint64_t));
     for (uint64_t i = 0; i < ndepths; ++i) {
         Addr tag = r.pod<Addr>();
         renameDepths[tag] = r.u64();

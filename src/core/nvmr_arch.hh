@@ -27,7 +27,7 @@ namespace nvmr
 class NvmrArch : public DominanceArch
 {
   public:
-    NvmrArch(const SystemConfig &cfg, Nvm &nvm, EnergySink &sink);
+    NvmrArch(const SystemConfig &cfg, Nvm &nvm, EnergyMeter &meter);
 
     const char *name() const override { return "nvmr"; }
 

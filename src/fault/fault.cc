@@ -158,6 +158,7 @@ FaultInjector::restoreState(StateReader &r,
     rng.setRawState(r.u64());
     stuck.clear();
     uint64_t n = r.u64();
+    r.checkCount(n, sizeof(Addr) + sizeof(StuckCell));
     for (uint64_t i = 0; i < n; ++i) {
         Addr addr = r.pod<Addr>();
         stuck[addr] = r.pod<StuckCell>();

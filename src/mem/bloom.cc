@@ -8,9 +8,9 @@ namespace nvmr
 {
 
 BloomFilter::BloomFilter(unsigned num_bits, unsigned hashes,
-                         const TechParams &params, EnergySink &snk)
+                         const TechParams &params, EnergyMeter &mtr)
     : words((num_bits + 63) / 64, 0), nBits(num_bits),
-      numHashes(hashes), tech(params), sink(snk)
+      numHashes(hashes), tech(params), meter(mtr)
 {
     fatal_if(num_bits == 0, "bloom filter needs at least one bit");
     fatal_if(hashes == 0, "bloom filter needs at least one hash");
@@ -31,7 +31,7 @@ BloomFilter::hashOf(Addr block_addr, unsigned which) const
 void
 BloomFilter::insert(Addr block_addr)
 {
-    sink.consume(tech.bloomNj);
+    meter.consume(tech.bloomNj);
     for (unsigned h = 0; h < numHashes; ++h) {
         unsigned bit = hashOf(block_addr, h);
         words[bit / 64] |= 1ull << (bit % 64);
@@ -41,7 +41,7 @@ BloomFilter::insert(Addr block_addr)
 bool
 BloomFilter::maybeContains(Addr block_addr)
 {
-    sink.consume(tech.bloomNj);
+    meter.consume(tech.bloomNj);
     for (unsigned h = 0; h < numHashes; ++h) {
         unsigned bit = hashOf(block_addr, h);
         if (!(words[bit / 64] & (1ull << (bit % 64))))

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "power/energy.hh"
+#include "power/meter.hh"
 
 namespace nvmr
 {
@@ -33,10 +33,10 @@ class BloomFilter
      * @param bits Number of one-bit entries (8 in Table 2).
      * @param hashes Number of hash functions (1 in the paper).
      * @param params Technology constants (lookup/update energy).
-     * @param sink Where access energy is charged.
+     * @param meter Where access energy is charged.
      */
     BloomFilter(unsigned bits, unsigned hashes,
-                const TechParams &params, EnergySink &sink);
+                const TechParams &params, EnergyMeter &meter);
 
     /** Record a (read-dominated) block address. */
     void insert(Addr block_addr);
@@ -74,7 +74,7 @@ class BloomFilter
     void
     insertMask(uint64_t mask)
     {
-        sink.consume(tech.bloomNj);
+        meter.consume(tech.bloomNj);
         words[0] |= mask;
     }
 
@@ -82,7 +82,7 @@ class BloomFilter
     bool
     maybeContainsMask(uint64_t mask)
     {
-        sink.consume(tech.bloomNj);
+        meter.consume(tech.bloomNj);
         return (words[0] & mask) == mask;
     }
 
@@ -102,7 +102,7 @@ class BloomFilter
     unsigned nBits;
     unsigned numHashes;
     const TechParams &tech;
-    EnergySink &sink;
+    EnergyMeter &meter;
 
     unsigned hashOf(Addr block_addr, unsigned which) const;
 };

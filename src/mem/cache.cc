@@ -8,8 +8,8 @@ namespace nvmr
 {
 
 DataCache::DataCache(const CacheConfig &config, const TechParams &params,
-                     EnergySink &snk)
-    : cfg(config), tech(params), sink(snk)
+                     EnergyMeter &mtr)
+    : cfg(config), tech(params), meter(mtr)
 {
     fatal_if(cfg.blockBytes == 0 || cfg.blockBytes % kWordBytes != 0,
              "block size must be a multiple of the word size");
@@ -59,7 +59,7 @@ DataCache::fill(CacheLine &line, Addr block_addr,
 {
     panic_if(data.size() != cfg.wordsPerBlock(),
              "fill with wrong block size");
-    sink.consume(tech.cacheAccessNj);
+    meter.consume(tech.cacheAccessNj);
     line.valid = true;
     line.markClean();
     line.blockAddr = block_addr;

@@ -17,7 +17,7 @@
 
 #include "common/log.hh"
 #include "common/types.hh"
-#include "power/energy.hh"
+#include "power/meter.hh"
 #include "snapshot/state.hh"
 
 namespace nvmr
@@ -167,7 +167,7 @@ class DataCache
 {
   public:
     DataCache(const CacheConfig &cfg, const TechParams &params,
-              EnergySink &sink);
+              EnergyMeter &meter);
 
     const CacheConfig &config() const { return cfg; }
 
@@ -187,14 +187,14 @@ class DataCache
     CacheLine *
     lookup(Addr block_addr)
     {
-        sink.consume(tech.cacheAccessNj);
+        meter.consume(tech.cacheAccessNj);
         return lookupUncharged(block_addr);
     }
 
     /**
      * Hit/miss bookkeeping and LRU refresh without the energy
      * charge: the architecture access path batches the SRAM charge
-     * with the LBF charge into one sink call per access.
+     * with the LBF charge into one meter call per access.
      */
     CacheLine *
     lookupUncharged(Addr block_addr)
@@ -297,7 +297,7 @@ class DataCache
   private:
     CacheConfig cfg;
     const TechParams &tech;
-    EnergySink &sink;
+    EnergyMeter &meter;
     std::vector<CacheLine> lines; // [set * ways + way]
     uint64_t tick = 0;
     uint64_t _hits = 0;

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/log.hh"
-#include "fault/fault.hh"
-#include "obs/trace.hh"
-
 namespace nvmr
 {
 
@@ -18,8 +14,8 @@ constexpr size_t kWearEntryBytes = 2 * sizeof(uint32_t);
 
 } // namespace
 
-Nvm::Nvm(uint32_t size_bytes, const TechParams &params, EnergySink &snk)
-    : size(size_bytes), tech(params), sink(snk), mem(size_bytes)
+Nvm::Nvm(uint32_t size_bytes, const TechParams &params, EnergyMeter &mtr)
+    : size(size_bytes), tech(params), meter(mtr), mem(size_bytes)
 {
     fatal_if(size_bytes == 0 || size_bytes % kWordBytes != 0,
              "NVM size must be a positive multiple of the word size");
@@ -28,65 +24,31 @@ Nvm::Nvm(uint32_t size_bytes, const TechParams &params, EnergySink &snk)
     wear.resize(mem.pageCount());
 }
 
-uint32_t
-Nvm::wordIndex(Addr addr) const
-{
-    panic_if(addr % kWordBytes != 0, "misaligned NVM word access: ",
-             addr);
-    panic_if(addr + kWordBytes > size, "NVM access out of range: ",
-             addr);
-    return addr / kWordBytes;
-}
-
 Word
-Nvm::readWord(Addr addr)
+Nvm::readFaulty(Addr addr, Word stored)
 {
-    ++reads;
-    sink.addCycles(tech.flashReadCycles);
-    sink.consume(tech.flashReadWordNj);
-    Word stored = peekWord(addr);
-    if (!faults || !faults->enabled() || !faults->bitErrorsPossible())
-        return stored;
     FaultInjector::ReadOutcome out = faults->applyReadFaults(addr,
                                                              stored);
     // Each bounded retry is a full re-read: charged like the first.
     for (uint32_t i = 0; i < out.retries; ++i) {
         ++reads;
-        sink.addCycles(tech.flashReadCycles);
-        sink.consume(tech.flashReadWordNj);
+        meter.addCycles(tech.flashReadCycles);
+        meter.consume(tech.flashReadWordNj);
     }
     return out.value;
 }
 
 void
-Nvm::writeWord(Addr addr, Word value)
+Nvm::traceWrite(Addr addr, Word value)
 {
-    uint32_t idx = wordIndex(addr);
-    // Persist boundary: an injected crash here means this word (and
-    // everything after it in a multi-word persist) never landed.
-    if (faults && faults->enabled())
-        faults->persistPoint();
-    ++writes;
-    uint32_t &wr = wearSlot(idx);
-    if (wr++ == 0)
-        ++worn;
-    if (wr > peakWear)
-        peakWear = wr;
-    sink.addCycles(tech.flashWriteCycles);
-    sink.consume(tech.flashWriteWordNj);
-    if (tracer) {
-        // Changed-byte mask (bit i = byte i differs): the WAR-freedom
-        // checker only cares about bytes a persist actually altered.
-        Word old = peekWord(addr);
-        uint64_t mask = 0;
-        for (unsigned i = 0; i < kWordBytes; ++i)
-            if (((old ^ value) >> (8 * i)) & 0xffu)
-                mask |= 1ull << i;
-        tracer->record(EventKind::NvmWrite, addr, mask);
-    }
-    pokeWord(addr, value);
-    if (faults && faults->enabled())
-        faults->onWordWritten(addr, wr);
+    // Changed-byte mask (bit i = byte i differs): the WAR-freedom
+    // checker only cares about bytes a persist actually altered.
+    Word old = peekWord(addr);
+    uint64_t mask = 0;
+    for (unsigned i = 0; i < kWordBytes; ++i)
+        if (((old ^ value) >> (8 * i)) & 0xffu)
+            mask |= 1ull << i;
+    tracer->record(EventKind::NvmWrite, addr, mask);
 }
 
 Word
@@ -96,20 +58,6 @@ Nvm::inspectWord(Addr addr) const
     if (!faults || !faults->enabled())
         return stored;
     return faults->inspectStored(addr, stored);
-}
-
-Word
-Nvm::peekWord(Addr addr) const
-{
-    wordIndex(addr); // bounds/alignment check
-    return mem.readWord(addr);
-}
-
-void
-Nvm::pokeWord(Addr addr, Word value)
-{
-    wordIndex(addr);
-    mem.writeWord(addr, value);
 }
 
 void

@@ -1,8 +1,12 @@
 /**
  * @file
  * Non-volatile memory (Flash) model: a flat byte array with per-word
- * access energies charged to an EnergySink and per-word wear counters
- * (Section 6.5 reports NVM wear-out reduction).
+ * access energies charged to the energy meter and per-word wear
+ * counters (Section 6.5 reports NVM wear-out reduction).
+ *
+ * The accounted word accessors are defined inline here: line fills,
+ * writebacks, redo-journal replays and map-table persists call them
+ * once per word, and inlined they compile to straight-line charges.
  */
 
 #ifndef NVMR_MEM_NVM_HH
@@ -13,20 +17,20 @@
 #include <memory>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
-#include "power/energy.hh"
+#include "fault/fault.hh"
+#include "obs/trace.hh"
+#include "power/meter.hh"
 #include "snapshot/cow.hh"
 #include "snapshot/state.hh"
 
 namespace nvmr
 {
 
-class FaultInjector;
-class TraceSink;
-
 /**
  * The on-board Flash. Reads and writes are word-granular and charge
- * energy to the attached sink; peek/poke bypass accounting for
+ * energy to the meter; peek/poke bypass accounting for
  * initialization and validation.
  */
 class Nvm
@@ -35,9 +39,9 @@ class Nvm
     /**
      * @param size_bytes Flash capacity (2 MB in Table 2).
      * @param params Technology constants for access energies.
-     * @param sink Where access energy is charged.
+     * @param meter Where access energy is charged.
      */
-    Nvm(uint32_t size_bytes, const TechParams &params, EnergySink &sink);
+    Nvm(uint32_t size_bytes, const TechParams &params, EnergyMeter &meter);
 
     uint32_t sizeBytes() const { return size; }
 
@@ -58,13 +62,51 @@ class Nvm
     void attachTrace(TraceSink *sink) { tracer = sink; }
 
     /** Accounted word read. */
-    Word readWord(Addr addr);
+    NVMR_METER_INLINE Word
+    readWord(Addr addr)
+    {
+        ++reads;
+        meter.addCycles(tech.flashReadCycles);
+        meter.consume(tech.flashReadWordNj);
+        Word stored = peekWord(addr);
+        if (!faults || !faults->enabled() ||
+            !faults->bitErrorsPossible())
+            return stored;
+        return readFaulty(addr, stored);
+    }
 
     /** Accounted word write; bumps the wear counter. */
-    void writeWord(Addr addr, Word value);
+    NVMR_METER_INLINE void
+    writeWord(Addr addr, Word value)
+    {
+        uint32_t idx = wordIndex(addr);
+        // Persist boundary: an injected crash here means this word
+        // (and everything after it in a multi-word persist) never
+        // landed.
+        if (faults && faults->enabled())
+            faults->persistPoint();
+        ++writes;
+        uint32_t &wr = wearSlot(idx);
+        if (wr++ == 0)
+            ++worn;
+        if (wr > peakWear)
+            peakWear = wr;
+        meter.addCycles(tech.flashWriteCycles);
+        meter.consume(tech.flashWriteWordNj);
+        if (tracer)
+            traceWrite(addr, value);
+        pokeWord(addr, value);
+        if (faults && faults->enabled())
+            faults->onWordWritten(addr, wr);
+    }
 
     /** Unaccounted read (initialization / validation / tests). */
-    Word peekWord(Addr addr) const;
+    Word
+    peekWord(Addr addr) const
+    {
+        wordIndex(addr); // bounds/alignment check
+        return mem.readWord(addr);
+    }
 
     /**
      * Unaccounted read through the deterministic fault view: stuck
@@ -75,7 +117,12 @@ class Nvm
     Word inspectWord(Addr addr) const;
 
     /** Unaccounted write (initialization / tests); no wear. */
-    void pokeWord(Addr addr, Word value);
+    void
+    pokeWord(Addr addr, Word value)
+    {
+        wordIndex(addr);
+        mem.writeWord(addr, value);
+    }
 
     /** Unaccounted byte accessors for loading program images. */
     uint8_t peekByte(Addr addr) const { return mem.read8(addr); }
@@ -166,7 +213,7 @@ class Nvm
   private:
     uint32_t size;
     const TechParams &tech;
-    EnergySink &sink;
+    EnergyMeter &meter;
     FaultInjector *faults = nullptr;
     TraceSink *tracer = nullptr;
     /** Per-word wear counters of one NVM page. */
@@ -183,7 +230,23 @@ class Nvm
     uint64_t writes = 0;
     uint64_t reads = 0;
 
-    uint32_t wordIndex(Addr addr) const;
+    uint32_t
+    wordIndex(Addr addr) const
+    {
+        panic_if(addr % kWordBytes != 0, "misaligned NVM word access: ",
+                 addr);
+        panic_if(addr + kWordBytes > size, "NVM access out of range: ",
+                 addr);
+        return addr / kWordBytes;
+    }
+
+    /** readWord's bit-error path: the ECC pipeline and its charged
+     *  re-reads (out of line; only runs with bit errors possible). */
+    Word readFaulty(Addr addr, Word stored);
+
+    /** Record the NvmWrite event of an accounted write (out of line;
+     *  only runs with a trace sink attached). */
+    void traceWrite(Addr addr, Word value);
 
     /** Wear counter of word idx, allocating its chunk on first use. */
     uint32_t &

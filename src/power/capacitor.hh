@@ -108,12 +108,6 @@ class Capacitor
     void setRawEnergy(NanoJoules nj) { e = nj; }
 
   private:
-    /** The threaded engine's inlined per-instruction accounting
-     *  (sim/engine.cc) drains `e` and compares it against the
-     *  precomputed thresholds directly; every update replicates
-     *  drainNj bit for bit. */
-    friend class ThreadedEngine;
-
     double farads;
     double vMax;
     double vOn;

@@ -4,7 +4,8 @@
  * the energy-category taxonomy of the EH model (forward progress,
  * backup, restore, dead) extended with NvMR's overhead categories, and
  * the pending/committed ledger that reclassifies re-executed work as
- * dead energy on power failures.
+ * dead energy on power failures. The energy meter (power/meter.hh)
+ * feeds the ledger; components charge the meter.
  */
 
 #ifndef NVMR_POWER_ENERGY_HH
@@ -181,19 +182,15 @@ class EnergyAccount
     }
 
   private:
-    /** The threaded engine's inlined per-instruction accounting
-     *  (sim/engine.cc) adds Forward / ForwardOverhead pending energy
-     *  to the slots directly. */
-    friend class ThreadedEngine;
-
     std::array<NanoJoules, kNumECats> committed{};
     std::array<NanoJoules, kNumECats> pending{};
 };
 
 /**
- * Spending modes: the simulator sets the active mode around backup /
- * restore / reclaim operations so that shared components (cache, NVM)
- * charge the right category without knowing why they were invoked.
+ * Spending modes: the simulator sets the energy meter's mode
+ * (power/meter.hh) around backup / restore / reclaim operations so
+ * that shared components (cache, NVM) charge the right category
+ * without knowing why they were invoked.
  */
 enum class EMode : uint8_t
 {
@@ -201,39 +198,6 @@ enum class EMode : uint8_t
     Backup,
     Restore,
     Reclaim
-};
-
-/**
- * The sink every component charges energy into. The Simulator
- * implements it by draining the capacitor and feeding the
- * EnergyAccount; golden (continuous) runs use a NullEnergySink.
- */
-class EnergySink
-{
-  public:
-    virtual ~EnergySink() = default;
-
-    /** Charge energy in the current mode's base category. */
-    virtual void consume(NanoJoules nj) = 0;
-
-    /** Charge energy in the current mode's overhead category
-     *  (used by the NvMR renaming structures). */
-    virtual void consumeOverhead(NanoJoules nj) = 0;
-
-    /**
-     * Advance simulated time (memory stall cycles). The simulator's
-     * sink charges per-cycle core energy and integrates harvesting.
-     */
-    virtual void addCycles(Cycles n) = 0;
-};
-
-/** Sink that ignores all spending (continuous/golden execution). */
-class NullEnergySink : public EnergySink
-{
-  public:
-    void consume(NanoJoules) override {}
-    void consumeOverhead(NanoJoules) override {}
-    void addCycles(Cycles) override {}
 };
 
 } // namespace nvmr

@@ -11,9 +11,10 @@
  *
  *  1. Predecoded ops (cpu/decoded.hh) dispatched by one switch: no
  *     per-step field decode, no per-step register bounds checks,
- *     shift immediates pre-masked, and the per-instruction cycle and
- *     energy accounting inlined (chargeCycles) instead of the
- *     interpreter's chain of cross-TU calls.
+ *     shift immediates pre-masked. The per-instruction cycle and
+ *     energy accounting is the energy meter's inline retire charge
+ *     (EnergyMeter::retireCycles), the same one the interpreter
+ *     calls.
  *  2. Inlined per-instruction policy check (PolicyFastPath): the JIT
  *     threshold `backupCostNowNj()*margin + slackNj` is cached while
  *     nothing that can change the backup cost has run (every
@@ -219,10 +220,10 @@ ThreadedEngine::policyAfterStep()
             rhs = s.arch->backupCostNowNj() * margin + slackNj;
             costValid = true;
         }
-        if (s.cap.usableNj() <= rhs)
+        if (s.meter.capacitor().usableNj() <= rhs)
             firePolicyBackup();
     } else if constexpr (M == kPolPeriod) {
-        if (s.activeCycles - s.lastBackupActive >= period)
+        if (s.meter.activeCycles() - s.lastBackupActive >= period)
             firePolicyBackup();
     } else if constexpr (M == kPolGeneric) {
         s.maybePolicyBackup();
@@ -249,60 +250,17 @@ ThreadedEngine::session(unsigned &cancel_check)
     const uint32_t text_size = image->size();
     const std::atomic<bool> *const cancel = s.opts.cancel;
     const uint64_t max_cycles = s.opts.maxCycles;
-    const bool mt = s.chargesMtLeak;
 
     uint32_t pc = cpu._pc;
 
-    // Inlined copy of Simulator::addCycles() for the retire path
-    // (mode is always Execute there, so applyEnergy/categoryFor
-    // reduce to the Forward pending slots). The interpreter pays
-    // five-plus cross-TU calls per instruction for this chain; the
-    // expressions below are copied verbatim so results stay
-    // bit-identical. Port-driven stall cycles (Nvm reads/writes)
-    // still go through the virtual sink, untouched.
-    const auto chargeCycles = [&](Cycles n)
-#if defined(__GNUC__)
-        __attribute__((always_inline))
-#endif
-    {
-        uint64_t tot = s.totalCycles;
-        if (tot + n <= s.harvestSampleEnd) {
-            s.cap.harvestNj(s.harvestMwCached *
-                            HarvestTrace::njPerMwCycle *
-                            static_cast<double>(n));
-        } else {
-            s.cap.harvestNj(s.trace.harvestedNj(tot, n));
-        }
-        tot += n;
-        s.totalCycles = tot;
-        if (tot >= s.harvestSampleEnd)
-            s.refreshHarvestCache();
-        s.activeCycles += n;
-        const double dn = static_cast<double>(n);
-        double nj = dn * fwdNjPerCycle;
-        double e = s.cap.e;
-        e = e > nj ? e - nj : 0.0;
-        s.cap.e = e;
-        s.account.pending[size_t(ECat::Forward)] += nj;
-        if (e <= s.cap.eDead)
-            throw PowerFailure{}; // brownOut: never atomic here
-        if (mt) {
-            nj = dn * mtNjPerCycle;
-            e = e > nj ? e - nj : 0.0;
-            s.cap.e = e;
-            s.account.pending[size_t(ECat::ForwardOverhead)] += nj;
-            if (e <= s.cap.eDead)
-                throw PowerFailure{};
-        }
-        s.injector.cyclePoint(tot);
-    };
+    EnergyMeter &meter = s.meter;
 
     for (;;) {
         // Per-instruction preamble, identical to the interpreter loop:
         // budget first, then the snapshot point (the same boundary the
         // interpreter fires at), the coarse cancel poll, and the fetch
         // bounds check.
-        if (s.totalCycles > max_cycles)
+        if (meter.totalCycles() > max_cycles)
             return kSessionStop;
         if (s.snapPending)
             s.fireSnapshotPoint();
@@ -401,7 +359,7 @@ ThreadedEngine::session(unsigned &cancel_check)
                     cpu.tracer->record(EventKind::CpuHalt, cpu._instret + 1);
                 cpu._pc = pc;
                 ++cpu._instret;
-                chargeCycles(cyc);
+                meter.retireCycles(cyc);
                 s.requestBackup(BackupReason::Final);
                 return kSessionCompleted;
 
@@ -419,7 +377,7 @@ ThreadedEngine::session(unsigned &cancel_check)
         }
         cpu._pc = pc;
         ++cpu._instret;
-        chargeCycles(cyc);
+        meter.retireCycles(cyc);
         policyAfterStep<M>();
     }
 }
@@ -431,13 +389,13 @@ ThreadedEngine::mainLoop()
     // Mirrors the interpreter's main loop: one powered session at a
     // time, PowerFailure handled exactly as its per-step catch does.
     unsigned cancel_check = 0;
-    while (s.totalCycles <= s.opts.maxCycles) {
+    while (s.meter.totalCycles() <= s.opts.maxCycles) {
         try {
             return session<M>(cancel_check) == kSessionCompleted;
         } catch (PowerFailure &) {
             costValid = false;
             s.handlePowerFailure();
-            if (s.totalCycles > s.opts.maxCycles)
+            if (s.meter.totalCycles() > s.opts.maxCycles)
                 return false;
         }
     }
@@ -448,8 +406,6 @@ bool
 ThreadedEngine::run()
 {
     image = decodedProgram(s.program);
-    fwdNjPerCycle = s.cfg.tech.cpuCycleNj + s.cfg.tech.leakNjPerCycle;
-    mtNjPerCycle = s.cfg.tech.mtCacheLeakNjPerCycle;
     policyHibernates = s.policy.hibernateAfterBackup();
 
     const PolicyFastPath fp = s.policy.fastPath();

@@ -6,11 +6,12 @@
  * (docs/performance.md, "Execution engines"):
  *
  *  - `interp`: the reference path -- Cpu::step()'s opcode switch,
- *    one virtual addCycles() and one policy call per instruction.
+ *    the energy meter's inline retire charge and one policy call per
+ *    instruction.
  *  - `threaded` (the default): executes the shared predecoded op image
- *    (cpu/decoded.hh) in one switch-dispatched loop with an inlined
- *    copy of the per-instruction accounting and a cached
- *    backup-policy threshold (PolicyFastPath). Stateful policies and
+ *    (cpu/decoded.hh) in one switch-dispatched loop with the same
+ *    inline retire charge and a cached backup-policy threshold
+ *    (PolicyFastPath). Stateful policies and
  *    everything outside the per-instruction step (port stalls,
  *    backups, power failures) call back into the same Simulator code
  *    the interpreter uses.
@@ -100,11 +101,6 @@ class ThreadedEngine
      *  failures since it was computed). */
     double rhs = 0;
     bool costValid = false;
-
-    // Per-cycle energy constants (identical expressions to
-    // Simulator::addCycles, hoisted out of the loop).
-    double fwdNjPerCycle = 0;
-    double mtNjPerCycle = 0;
 
     template <int M> bool mainLoop();
     template <int M> int session(unsigned &cancel_check);

@@ -126,21 +126,21 @@ goldenRun(const Program &prog)
 
 std::unique_ptr<IntermittentArch>
 makeArch(ArchKind kind, const SystemConfig &cfg, Nvm &nvm,
-         EnergySink &sink)
+         EnergyMeter &meter)
 {
     switch (kind) {
       case ArchKind::Ideal:
-        return std::make_unique<IdealArch>(cfg, nvm, sink);
+        return std::make_unique<IdealArch>(cfg, nvm, meter);
       case ArchKind::Clank:
-        return std::make_unique<ClankArch>(cfg, nvm, sink);
+        return std::make_unique<ClankArch>(cfg, nvm, meter);
       case ArchKind::ClankOriginal:
-        return std::make_unique<ClankOriginalArch>(cfg, nvm, sink);
+        return std::make_unique<ClankOriginalArch>(cfg, nvm, meter);
       case ArchKind::Task:
-        return std::make_unique<TaskArch>(cfg, nvm, sink);
+        return std::make_unique<TaskArch>(cfg, nvm, meter);
       case ArchKind::Nvmr:
-        return std::make_unique<NvmrArch>(cfg, nvm, sink);
+        return std::make_unique<NvmrArch>(cfg, nvm, meter);
       case ArchKind::Hoop:
-        return std::make_unique<HoopArch>(cfg, nvm, sink);
+        return std::make_unique<HoopArch>(cfg, nvm, meter);
       default:
         panic("bad arch kind");
     }
@@ -154,17 +154,18 @@ Simulator::Simulator(const Program &prog, ArchKind arch_kind,
                      const SystemConfig &config, BackupPolicy &pol,
                      const HarvestTrace &harvest, RunOptions options)
     : program(prog), cfg(config), policy(pol), trace(harvest),
-      opts(options),
-      cap(config.capacitorFarads, config.vMax, config.vOn,
-          config.vOff, config.capScale, config.capExponent),
-      nvm(config.nvmBytes, config.tech, *this),
-      arch(makeArch(arch_kind, config, nvm, *this)),
-      cpu(prog, *arch), injector(options.faults)
+      opts(options), injector(options.faults),
+      meter(Capacitor(config.capacitorFarads, config.vMax, config.vOn,
+                      config.vOff, config.capScale, config.capExponent),
+            config.tech, harvest, injector, config.strictAtomic),
+      nvm(config.nvmBytes, config.tech, meter),
+      arch(makeArch(arch_kind, config, nvm, meter)), cpu(prog, *arch)
 {
     arch->attachHost(this);
     nvm.attachFaults(&injector);
     arch->attachFaults(&injector);
-    chargesMtLeak = dynamic_cast<NvmrArch *>(arch.get()) != nullptr;
+    meter.setMtLeak(dynamic_cast<NvmrArch *>(arch.get()) != nullptr);
+    Capacitor &cap = meter.capacitor();
     cap.setVoltage(opts.initialVoltage > 0 ? opts.initialVoltage
                                            : cap.vOnVolts());
     arch->addStat(&backupIntervalHist);
@@ -177,124 +178,11 @@ Simulator::attachTrace(TraceSink *sink_)
 {
     tracer = sink_;
     if (sink_)
-        sink_->bindClocks(&totalCycles, &activeCycles);
+        sink_->bindClocks(&meter.totalCycles(), &meter.activeCycles());
     arch->attachTrace(sink_);
     cpu.attachTrace(sink_);
     injector.attachTrace(sink_);
     nvm.attachTrace(sink_);
-}
-
-// ----------------------------------------------------------------------
-// Energy sink
-// ----------------------------------------------------------------------
-
-ECat
-Simulator::categoryFor(bool overhead) const
-{
-    switch (mode) {
-      case EMode::Execute:
-        return overhead ? ECat::ForwardOverhead : ECat::Forward;
-      case EMode::Backup:
-        return overhead ? ECat::BackupOverhead : ECat::Backup;
-      case EMode::Restore:
-        return overhead ? ECat::RestoreOverhead : ECat::Restore;
-      case EMode::Reclaim:
-        return ECat::Reclaim;
-      default:
-        panic("bad energy mode");
-    }
-}
-
-// Runs several times per simulated instruction (every component
-// charge lands here through consume/consumeOverhead/addCycles), so it
-// is forced inline into those three: Execute mode picks its Forward
-// categories without the categoryFor switch, and only the dead()
-// test stays on the path. The order (drain, ledger add, dead() test)
-// is part of the bit-identity contract.
-#if defined(__GNUC__)
-[[gnu::always_inline]]
-#endif
-inline void
-Simulator::applyEnergy(NanoJoules nj, bool overhead)
-{
-    cap.drainNj(nj);
-    if (mode == EMode::Execute)
-        account.spendPending(overhead ? ECat::ForwardOverhead
-                                      : ECat::Forward,
-                             nj);
-    else
-        account.spendCommitted(categoryFor(overhead), nj);
-    if (cap.dead())
-        brownOut();
-}
-
-#if defined(__GNUC__)
-[[gnu::cold, gnu::noinline]]
-#endif
-void
-Simulator::brownOut()
-{
-    // A brown-out inside an atomic section used to be fatal; with
-    // partial persists modeled it is just another torn backup the
-    // recovery protocol handles. --strict-atomic restores the old
-    // behavior for A/B comparison of cost-estimate regressions.
-    panic_if(inAtomic && cfg.strictAtomic,
-             "brown-out inside an atomic operation: a cost estimate "
-             "is too low");
-    throw PowerFailure{};
-}
-
-void
-Simulator::consume(NanoJoules nj)
-{
-    applyEnergy(nj, false);
-}
-
-void
-Simulator::consumeOverhead(NanoJoules nj)
-{
-    applyEnergy(nj, true);
-}
-
-void
-Simulator::refreshHarvestCache()
-{
-    harvestMwCached = trace.powerMwAtCycle(totalCycles);
-    harvestSampleEnd = (totalCycles / HarvestTrace::cyclesPerSample + 1) *
-                       HarvestTrace::cyclesPerSample;
-}
-
-double
-Simulator::harvestMwNow()
-{
-    if (totalCycles >= harvestSampleEnd)
-        refreshHarvestCache();
-    return harvestMwCached;
-}
-
-void
-Simulator::addCycles(Cycles n)
-{
-    if (n == 0)
-        return;
-    if (totalCycles + n <= harvestSampleEnd) {
-        // Whole interval inside the cached sample: same multiply
-        // harvestedNj would do, without the per-sample walk.
-        cap.harvestNj(harvestMwCached * HarvestTrace::njPerMwCycle *
-                      static_cast<double>(n));
-    } else {
-        cap.harvestNj(trace.harvestedNj(totalCycles, n));
-    }
-    totalCycles += n;
-    if (totalCycles >= harvestSampleEnd)
-        refreshHarvestCache();
-    activeCycles += n;
-    double dn = static_cast<double>(n);
-    applyEnergy(dn * (cfg.tech.cpuCycleNj + cfg.tech.leakNjPerCycle),
-                false);
-    if (chargesMtLeak)
-        applyEnergy(dn * cfg.tech.mtCacheLeakNjPerCycle, true);
-    injector.cyclePoint(totalCycles);
 }
 
 // ----------------------------------------------------------------------
@@ -305,20 +193,20 @@ void
 Simulator::requestBackup(BackupReason reason)
 {
     NanoJoules cost = arch->backupCostNowNj();
-    if (cap.usableNj() < cost)
+    if (meter.capacitor().usableNj() < cost)
         throw PowerFailure{}; // cannot afford the backup: die instead
 
     if (tracer)
         tracer->record(EventKind::BackupBegin,
                        static_cast<uint64_t>(reason));
     injector.noteBackupStart();
-    EMode saved = mode;
-    mode = EMode::Backup;
-    inAtomic = true;
+    EMode saved = meter.mode();
+    meter.setMode(EMode::Backup);
+    meter.setAtomic(true);
     arch->beginBackupTxn();
     arch->performBackup(cpu.snapshot(), reason);
-    account.commitPending();
-    inAtomic = false;
+    meter.ledger().commitPending();
+    meter.setAtomic(false);
 
     // The backup committed; replay any journaled home writes (crash-
     // safe: a crash here re-replays the journal at restore).
@@ -326,14 +214,14 @@ Simulator::requestBackup(BackupReason reason)
 
     // Post-backup work (NvMR reclamation) is crash-safe per entry and
     // therefore runs outside the atomic section.
-    mode = EMode::Reclaim;
+    meter.setMode(EMode::Reclaim);
     arch->postBackup(reason);
 
-    mode = saved;
+    meter.setMode(saved);
     injector.noteBackupEnd();
     backupIntervalHist.sample(
-        static_cast<double>(activeCycles - lastBackupActive));
-    lastBackupActive = activeCycles;
+        static_cast<double>(meter.activeCycles() - lastBackupActive));
+    lastBackupActive = meter.activeCycles();
     if (tracer)
         tracer->record(EventKind::BackupCommit,
                        static_cast<uint64_t>(reason),
@@ -356,18 +244,13 @@ Simulator::fireSnapshotPoint()
 MachineSnapshot
 Simulator::captureSnapshot()
 {
-    panic_if(inAtomic, "snapshot inside an atomic section");
+    panic_if(meter.atomic(), "snapshot inside an atomic section");
     MachineSnapshot snap;
     StateWriter w;
     cpu.saveState(w);
-    w.f64(cap.rawEnergy());
-    w.pod(account.rawState());
-    w.u64(activeCycles);
-    w.u64(totalCycles);
+    meter.saveState(w);
     w.u64(lastBackupActive);
     w.u64(resumeActive);
-    w.f64(harvestMwCached);
-    w.u64(harvestSampleEnd);
     w.pod(backupIntervalHist.rawState());
     w.pod(onPeriodHist.rawState());
     w.pod(nvmWearHist.rawState());
@@ -377,7 +260,7 @@ Simulator::captureSnapshot()
     arch->saveState(w);
     snap.blob = w.take();
     snap.nvmPages = nvm.snapshotPages();
-    snap.totalCycles = totalCycles;
+    snap.totalCycles = meter.totalCycles();
     snap.persistCount = injector.stats().persistPoints;
     snap.committedSeq = arch->committedBackupSeq();
     return snap;
@@ -388,25 +271,18 @@ Simulator::restoreSnapshot(const MachineSnapshot &snap)
 {
     StateReader r(snap.blob);
     cpu.restoreState(r);
-    cap.setRawEnergy(r.f64());
-    account.setRawState(r.pod<EnergyAccount::Raw>());
-    activeCycles = r.u64();
-    totalCycles = r.u64();
+    meter.restoreState(r);
     lastBackupActive = r.u64();
     resumeActive = r.u64();
-    harvestMwCached = r.f64();
-    harvestSampleEnd = r.u64();
     backupIntervalHist.setRawState(r.pod<Histogram::Raw>());
     onPeriodHist.setRawState(r.pod<Histogram::Raw>());
     nvmWearHist.setRawState(r.pod<Histogram::Raw>());
     policy.restoreState(r.u64());
     nvm.restoreState(r);
-    injector.restoreState(r, totalCycles);
+    injector.restoreState(r, meter.totalCycles());
     arch->restoreState(r);
     panic_if(!r.exhausted(), "snapshot blob has trailing bytes");
     nvm.adoptPages(snap.nvmPages);
-    mode = EMode::Execute;
-    inAtomic = false;
     snapPending = false;
 }
 
@@ -418,14 +294,14 @@ Simulator::hibernate()
     // while the capacitor stays above the brown-out voltage.
     if (tracer)
         tracer->record(EventKind::Hibernate);
+    Capacitor &cap = meter.capacitor();
     while (true) {
         Cycles step = HarvestTrace::cyclesPerSample;
-        cap.harvestNj(trace.harvestedNj(totalCycles, step));
-        totalCycles += step;
+        meter.idle(step);
         NanoJoules leak = static_cast<double>(step) *
                           cfg.tech.hibernateLeakNjPerCycle;
         cap.drainNj(leak);
-        account.spendCommitted(ECat::Forward, leak);
+        meter.ledger().spendCommitted(ECat::Forward, leak);
         if (cap.dead())
             throw PowerFailure{}; // pending is empty: no dead energy
         if (cap.canTurnOn()) {
@@ -433,13 +309,13 @@ Simulator::hibernate()
                 tracer->record(EventKind::Wake);
             return; // supply recovered; resume execution
         }
-        if (totalCycles > opts.maxCycles)
+        if (meter.totalCycles() > opts.maxCycles)
             return; // give up; the main loop stops the run
         if (runCancelled(opts)) {
             // Cancelled mid-hibernation: burn the budget so every
             // enclosing wait loop unwinds through its existing
             // give-up path.
-            totalCycles = opts.maxCycles + 1;
+            exhaustBudget();
             return;
         }
     }
@@ -459,17 +335,16 @@ Simulator::waitForRecharge(NanoJoules need_nj)
              " nJ exceeds a full capacitor (", full.usableNj(),
              " nJ); device cannot recover -- size the NVM "
              "structures to the capacitor");
-        totalCycles = opts.maxCycles + 1;
+        exhaustBudget();
         return;
     }
-    while (totalCycles <= opts.maxCycles) {
-        Cycles step = HarvestTrace::cyclesPerSample;
-        cap.harvestNj(trace.harvestedNj(totalCycles, step));
-        totalCycles += step;
+    const Capacitor &cap = meter.capacitor();
+    while (meter.totalCycles() <= opts.maxCycles) {
+        meter.idle(HarvestTrace::cyclesPerSample);
         if (cap.canTurnOn() && cap.usableNj() >= need_nj)
             return;
         if (runCancelled(opts)) {
-            totalCycles = opts.maxCycles + 1;
+            exhaustBudget();
             return;
         }
     }
@@ -482,23 +357,23 @@ Simulator::rebootFromReset()
     // torn): there is nothing to restore. Boot the CPU from its
     // reset state and take the initial backup again -- exactly what
     // a real device does when it dies before its first checkpoint.
-    while (totalCycles <= opts.maxCycles) {
+    while (meter.totalCycles() <= opts.maxCycles) {
         waitForRecharge(arch->backupCostNowNj() * 1.2 + 100.0);
-        if (totalCycles > opts.maxCycles)
+        if (meter.totalCycles() > opts.maxCycles)
             return;
         cpu.reset();
-        lastBackupActive = activeCycles;
-        resumeActive = activeCycles;
+        lastBackupActive = meter.activeCycles();
+        resumeActive = meter.activeCycles();
         try {
             requestBackup(BackupReason::Initial);
             return;
         } catch (PowerFailure &) {
-            panic_if(inAtomic && cfg.strictAtomic,
+            panic_if(meter.atomic() && cfg.strictAtomic,
                      "power failure inside an atomic operation "
                      "(strict-atomic mode)");
-            mode = EMode::Execute;
-            inAtomic = false;
-            account.pendingToDead();
+            meter.setMode(EMode::Execute);
+            meter.setAtomic(false);
+            meter.ledger().pendingToDead();
             arch->onPowerFail();
             if (tracer)
                 tracer->record(EventKind::PowerFail);
@@ -512,15 +387,15 @@ Simulator::handlePowerFailure()
     // Under --strict-atomic any power loss inside an atomic section
     // -- a genuine brown-out (already fatal in brownOut) or an
     // injected crash -- is the old fatal error.
-    panic_if(inAtomic && cfg.strictAtomic,
+    panic_if(meter.atomic() && cfg.strictAtomic,
              "power failure inside an atomic operation "
              "(strict-atomic mode)");
-    mode = EMode::Execute;
-    inAtomic = false;
-    account.pendingToDead();
+    meter.setMode(EMode::Execute);
+    meter.setAtomic(false);
+    meter.ledger().pendingToDead();
     arch->onPowerFail();
     onPeriodHist.sample(
-        static_cast<double>(activeCycles - resumeActive));
+        static_cast<double>(meter.activeCycles() - resumeActive));
     if (tracer)
         tracer->record(EventKind::PowerFail);
 
@@ -529,20 +404,20 @@ Simulator::handlePowerFailure()
         return;
     }
 
-    while (totalCycles <= opts.maxCycles) {
+    while (meter.totalCycles() <= opts.maxCycles) {
         waitForRecharge(arch->restoreCostNowNj() * 1.2 + 100.0);
-        if (totalCycles > opts.maxCycles)
+        if (meter.totalCycles() > opts.maxCycles)
             return; // never recharged; run() reports incompletion
 
-        mode = EMode::Restore;
-        inAtomic = true;
+        meter.setMode(EMode::Restore);
+        meter.setAtomic(true);
         try {
             CpuSnapshot snap = arch->performRestore();
-            inAtomic = false;
-            mode = EMode::Execute;
+            meter.setAtomic(false);
+            meter.setMode(EMode::Execute);
             cpu.restore(snap);
-            lastBackupActive = activeCycles;
-            resumeActive = activeCycles;
+            lastBackupActive = meter.activeCycles();
+            resumeActive = meter.activeCycles();
             if (tracer)
                 tracer->record(EventKind::Restore, 0,
                                arch->committedBackupSeq());
@@ -551,12 +426,12 @@ Simulator::handlePowerFailure()
             // Power died again mid-restore (e.g. while replaying the
             // backup journal). The journal replay is idempotent, so
             // clean up and retry the whole restore.
-            panic_if(inAtomic && cfg.strictAtomic,
+            panic_if(meter.atomic() && cfg.strictAtomic,
                      "power failure inside an atomic operation "
                      "(strict-atomic mode)");
-            mode = EMode::Execute;
-            inAtomic = false;
-            account.pendingToDead();
+            meter.setMode(EMode::Execute);
+            meter.setAtomic(false);
+            meter.ledger().pendingToDead();
             arch->onPowerFail();
             if (tracer)
                 tracer->record(EventKind::PowerFail);
@@ -567,12 +442,13 @@ Simulator::handlePowerFailure()
 void
 Simulator::maybePolicyBackup()
 {
-    PolicyContext ctx{cap,
-                      activeCycles,
-                      activeCycles - lastBackupActive,
-                      activeCycles - resumeActive,
+    const uint64_t active = meter.activeCycles();
+    PolicyContext ctx{meter.capacitor(),
+                      active,
+                      active - lastBackupActive,
+                      active - resumeActive,
                       arch->backupCostNowNj(),
-                      harvestMwNow()};
+                      meter.harvestMwNow()};
     if (!policy.shouldBackup(ctx))
         return;
     requestBackup(BackupReason::Policy);
@@ -592,7 +468,7 @@ Simulator::runInterpLoop()
     // predictable branch per step in the hot loop, an atomic load
     // only at the coarse cadence.
     unsigned cancelCheck = 0;
-    while (totalCycles <= opts.maxCycles) {
+    while (meter.totalCycles() <= opts.maxCycles) {
         if (snapPending)
             fireSnapshotPoint(); // safe point: instruction boundary
         if (opts.cancel && ++cancelCheck >= 1024) {
@@ -602,7 +478,7 @@ Simulator::runInterpLoop()
         }
         try {
             StepResult sr = cpu.step();
-            addCycles(sr.cycles);
+            meter.retireCycles(sr.cycles);
             if (sr.halted) {
                 requestBackup(BackupReason::Final);
                 completed = true;
@@ -611,7 +487,7 @@ Simulator::runInterpLoop()
             maybePolicyBackup();
         } catch (PowerFailure &) {
             handlePowerFailure();
-            if (totalCycles > opts.maxCycles)
+            if (meter.totalCycles() > opts.maxCycles)
                 break;
         }
     }
@@ -717,13 +593,13 @@ Simulator::makeResult(bool completed, bool validated) const
     r.trace = trace.name();
     r.completed = completed;
     r.validated = validated;
-    r.activeCycles = activeCycles;
-    r.totalCycles = totalCycles;
+    r.activeCycles = meter.activeCycles();
+    r.totalCycles = meter.totalCycles();
     r.instructions = cpu.instret();
 
     for (size_t i = 0; i < kNumECats; ++i)
-        r.energy[i] = account.total(static_cast<ECat>(i));
-    r.totalEnergyNj = account.grandTotal();
+        r.energy[i] = meter.ledger().total(static_cast<ECat>(i));
+    r.totalEnergyNj = meter.ledger().grandTotal();
 
     const ArchStats &s = arch->stats();
     r.backups = static_cast<uint64_t>(s.backups.value());

@@ -21,6 +21,7 @@
 #include "obs/trace.hh"
 #include "power/capacitor.hh"
 #include "power/energy.hh"
+#include "power/meter.hh"
 #include "power/policy.hh"
 #include "power/trace.hh"
 #include "sim/config.hh"
@@ -196,13 +197,15 @@ std::shared_ptr<const GoldenResult> goldenRun(const Program &prog);
 /** Build an architecture instance. */
 std::unique_ptr<IntermittentArch> makeArch(ArchKind kind,
                                            const SystemConfig &cfg,
-                                           Nvm &nvm, EnergySink &sink);
+                                           Nvm &nvm, EnergyMeter &meter);
 
 /**
  * One intermittent simulation. The simulator is single-use: build,
- * run(), read the result.
+ * run(), read the result. Components charge energy and time into its
+ * energy meter; the simulator orchestrates backups, power failures and
+ * restores around it.
  */
-class Simulator : public EnergySink, public BackupHost
+class Simulator : public BackupHost
 {
   public:
     Simulator(const Program &prog, ArchKind arch_kind,
@@ -213,20 +216,13 @@ class Simulator : public EnergySink, public BackupHost
     RunResult run();
 
     // ------------------------------------------------------------------
-    // EnergySink (components charge through here)
-    // ------------------------------------------------------------------
-    void consume(NanoJoules nj) override;
-    void consumeOverhead(NanoJoules nj) override;
-    void addCycles(Cycles n) override;
-
-    // ------------------------------------------------------------------
     // BackupHost (architectures trigger backups through here)
     // ------------------------------------------------------------------
     void requestBackup(BackupReason reason) override;
 
     /** The architecture under simulation (tests introspect it). */
     IntermittentArch &archRef() { return *arch; }
-    const Capacitor &capacitorRef() const { return cap; }
+    const Capacitor &capacitorRef() const { return meter.capacitor(); }
 
     /** The simulated core (the differential oracle diffs its final
      *  register file against the reference interpreter's). */
@@ -277,16 +273,11 @@ class Simulator : public EnergySink, public BackupHost
     const HarvestTrace &trace;
     RunOptions opts;
 
-    Capacitor cap;
+    FaultInjector injector;
+    EnergyMeter meter;
     Nvm nvm;
     std::unique_ptr<IntermittentArch> arch;
     Cpu cpu;
-    EnergyAccount account;
-    FaultInjector injector;
-
-    EMode mode = EMode::Execute;
-    bool inAtomic = false;
-    bool chargesMtLeak = false;
 
     /** A backup committed with a snapshot sink attached: fire the
      *  sink at the next instruction boundary (both engines check this
@@ -306,29 +297,8 @@ class Simulator : public EnergySink, public BackupHost
         "nvm_wear_per_word",
         "accounted writes per worn NVM word (end of run)"};
 
-    uint64_t activeCycles = 0;
-    uint64_t totalCycles = 0;
     uint64_t lastBackupActive = 0;
     uint64_t resumeActive = 0;
-
-    /** Harvest-trace sample under the current cycle, cached so the
-     *  per-instruction path avoids the trace's div/mod lookup. The
-     *  cache holds until totalCycles reaches harvestSampleEnd (the
-     *  next 1 kHz sample boundary); hibernation and recharge waits
-     *  advance past it, which simply forces a refresh. */
-    double harvestMwCached = 0;
-    uint64_t harvestSampleEnd = 0;
-
-    void refreshHarvestCache();
-    double harvestMwNow();
-
-    void applyEnergy(NanoJoules nj, bool overhead);
-    ECat categoryFor(bool overhead) const;
-
-    /** The capacitor browned out: throw PowerFailure (or panic under
-     *  --strict-atomic inside an atomic section). Out of line and
-     *  cold so the inlined charge paths keep only the dead() test. */
-    [[noreturn]] void brownOut();
 
     /** Clear snapPending and invoke the sink (out of line so the
      *  engines' hot loops only pay a predictable not-taken branch). */
@@ -336,6 +306,10 @@ class Simulator : public EnergySink, public BackupHost
 
     /** Overwrite all dynamic state from a snapshot (resumeFrom). */
     void restoreSnapshot(const MachineSnapshot &snap);
+
+    /** Give up the run: move the wall clock past the budget so every
+     *  enclosing wait loop unwinds through its give-up path. */
+    void exhaustBudget() { meter.setTotalCycles(opts.maxCycles + 1); }
 
     void maybePolicyBackup();
     void hibernate();

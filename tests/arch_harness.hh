@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared fixture for driving an intermittent architecture directly
- * (no full simulator): a recording energy sink, a backup host that
+ * (no full simulator): a zero-cost test meter, a backup host that
  * performs backups immediately, and helpers to force evictions on
  * the 2-set data cache of Table 2.
  */
@@ -14,22 +14,10 @@
 #include "arch/arch.hh"
 #include "isa/assembler.hh"
 #include "sim/simulator.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
-
-/** Sink that records spending but never browns out. */
-class RecordingTestSink : public EnergySink
-{
-  public:
-    void consume(NanoJoules nj) override { energy += nj; }
-    void consumeOverhead(NanoJoules nj) override { overhead += nj; }
-    void addCycles(Cycles n) override { cycles += n; }
-
-    NanoJoules energy = 0;
-    NanoJoules overhead = 0;
-    Cycles cycles = 0;
-};
 
 /** Host that performs requested backups unconditionally. */
 class ImmediateBackupHost : public BackupHost
@@ -54,7 +42,7 @@ class ImmediateBackupHost : public BackupHost
 struct ArchHarness
 {
     SystemConfig cfg;
-    RecordingTestSink sink;
+    TestMeter meter;
     std::unique_ptr<Nvm> nvm;
     std::unique_ptr<IntermittentArch> arch;
     std::unique_ptr<ImmediateBackupHost> host;
@@ -69,8 +57,8 @@ d:      .space 8192
         .text
         halt
 )");
-        nvm = std::make_unique<Nvm>(cfg.nvmBytes, cfg.tech, sink);
-        arch = makeArch(kind, cfg, *nvm, sink);
+        nvm = std::make_unique<Nvm>(cfg.nvmBytes, cfg.tech, meter);
+        arch = makeArch(kind, cfg, *nvm, meter);
         host = std::make_unique<ImmediateBackupHost>(arch.get());
         arch->attachHost(host.get());
         arch->initialize(prog);

@@ -87,6 +87,8 @@ foreach(needle
         "campaign: nvmr_sweep"
         "[final]"
         "progress:"
+        "occupancy: "
+        "engine worker(s) busy on average"
         "phase run"
         "journal ${journal}:"
         "manifest ${manifest}:")
@@ -96,6 +98,11 @@ foreach(needle
                 "report output is missing '${needle}':\n${report}")
     endif()
 endforeach()
+# Σ busy / elapsed is occupancy, not a speedup.
+string(FIND "${report}" "speedup" pos)
+if(NOT pos EQUAL -1)
+    message(FATAL_ERROR "report calls occupancy a speedup:\n${report}")
+endif()
 
 # A truncated snapshot must be rejected with exit 2, never
 # half-rendered.

@@ -53,9 +53,9 @@ TEST(ArchCommon, AppRegionEndIsBlockAligned)
 TEST(ArchCommon, InitializeLoadsDataImage)
 {
     SystemConfig cfg;
-    RecordingTestSink sink;
-    Nvm nvm(cfg.nvmBytes, cfg.tech, sink);
-    auto arch = makeArch(ArchKind::Clank, cfg, nvm, sink);
+    TestMeter meter;
+    Nvm nvm(cfg.nvmBytes, cfg.tech, meter);
+    auto arch = makeArch(ArchKind::Clank, cfg, nvm, meter);
     Program prog = assemble("img", R"(
         .data
 w:      .word 0xdeadbeef 42
@@ -78,9 +78,9 @@ TEST(ArchCommon, JournalChargeRespectsAtomicityFlag)
         ArchHarness h(ArchKind::Clank, cfg);
         h.arch->loadWord(0x100);
         h.arch->storeWord(0x100, 1);
-        NanoJoules before = h.sink.energy;
+        NanoJoules before = h.meter.energy();
         h.arch->performBackup(CpuSnapshot{}, BackupReason::Policy);
-        return h.sink.energy - before;
+        return h.meter.energy() - before;
     };
     NanoJoules cost_with = backup_energy(with);
     NanoJoules cost_without = backup_energy(without);
@@ -102,12 +102,12 @@ TEST(ArchCommon, BackupCostEstimateIsUpperBoundOnBackupEnergy)
             h.arch->storeWord(a, a);
         }
         NanoJoules estimate = h.arch->backupCostNowNj();
-        NanoJoules before = h.sink.energy + h.sink.overhead +
-                            static_cast<double>(h.sink.cycles) *
+        NanoJoules before = h.meter.energy() + h.meter.overhead() +
+                            static_cast<double>(h.meter.cycles()) *
                                 h.cfg.tech.cpuCycleNj;
         h.arch->performBackup(CpuSnapshot{}, BackupReason::Policy);
-        NanoJoules after = h.sink.energy + h.sink.overhead +
-                           static_cast<double>(h.sink.cycles) *
+        NanoJoules after = h.meter.energy() + h.meter.overhead() +
+                           static_cast<double>(h.meter.cycles()) *
                                h.cfg.tech.cpuCycleNj;
         EXPECT_GE(estimate, after - before)
             << archKindName(kind)
@@ -125,12 +125,12 @@ TEST(ArchCommon, RestoreCostEstimateIsUpperBound)
         h.arch->performBackup(CpuSnapshot{}, BackupReason::Policy);
         h.arch->onPowerFail();
         NanoJoules estimate = h.arch->restoreCostNowNj();
-        NanoJoules before = h.sink.energy + h.sink.overhead +
-                            static_cast<double>(h.sink.cycles) *
+        NanoJoules before = h.meter.energy() + h.meter.overhead() +
+                            static_cast<double>(h.meter.cycles()) *
                                 h.cfg.tech.cpuCycleNj;
         h.arch->performRestore();
-        NanoJoules after = h.sink.energy + h.sink.overhead +
-                           static_cast<double>(h.sink.cycles) *
+        NanoJoules after = h.meter.energy() + h.meter.overhead() +
+                           static_cast<double>(h.meter.cycles()) *
                                h.cfg.tech.cpuCycleNj;
         EXPECT_GE(estimate, after - before) << archKindName(kind);
     }

@@ -9,6 +9,7 @@
 
 #include "common/xorshift.hh"
 #include "mem/bloom.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
@@ -18,12 +19,12 @@ namespace
 struct BloomTest : public ::testing::Test
 {
     TechParams tech;
-    NullEnergySink sink;
+    TestMeter meter;
 };
 
 TEST_F(BloomTest, EmptyFilterContainsNothing)
 {
-    BloomFilter bf(8, 1, tech, sink);
+    BloomFilter bf(8, 1, tech, meter);
     for (Addr a = 0; a < 64; a += 16)
         EXPECT_FALSE(bf.maybeContains(a));
     EXPECT_DOUBLE_EQ(bf.occupancy(), 0.0);
@@ -32,7 +33,7 @@ TEST_F(BloomTest, EmptyFilterContainsNothing)
 TEST_F(BloomTest, NeverFalseNegative)
 {
     // The safety property: an inserted block address must always hit.
-    BloomFilter bf(8, 1, tech, sink);
+    BloomFilter bf(8, 1, tech, meter);
     XorShift rng(99);
     std::vector<Addr> inserted;
     for (int i = 0; i < 50; ++i) {
@@ -46,7 +47,7 @@ TEST_F(BloomTest, NeverFalseNegative)
 
 TEST_F(BloomTest, ResetClearsAllBits)
 {
-    BloomFilter bf(8, 1, tech, sink);
+    BloomFilter bf(8, 1, tech, meter);
     bf.insert(0x10);
     bf.insert(0x20);
     EXPECT_GT(bf.occupancy(), 0.0);
@@ -63,7 +64,7 @@ TEST_F(BloomTest, TinyFilterSaturates)
     // Table 2's GBF is only 8 bits: with many inserts it should
     // approach full occupancy (everything looks read-dominated),
     // which is conservative but correct.
-    BloomFilter bf(8, 1, tech, sink);
+    BloomFilter bf(8, 1, tech, meter);
     for (Addr a = 0; a < 4096; a += 16)
         bf.insert(a);
     EXPECT_GT(bf.occupancy(), 0.9);
@@ -71,7 +72,7 @@ TEST_F(BloomTest, TinyFilterSaturates)
 
 TEST_F(BloomTest, MultipleHashFunctions)
 {
-    BloomFilter bf(64, 3, tech, sink);
+    BloomFilter bf(64, 3, tech, meter);
     bf.insert(0x40);
     EXPECT_TRUE(bf.maybeContains(0x40));
     // With 3 hashes in 64 bits, a fresh filter should reject most
@@ -92,8 +93,8 @@ TEST_P(BloomProperty, InsertedKeysAlwaysHit)
 {
     auto [bits, hashes] = GetParam();
     TechParams tech;
-    NullEnergySink sink;
-    BloomFilter bf(bits, hashes, tech, sink);
+    TestMeter meter;
+    BloomFilter bf(bits, hashes, tech, meter);
     XorShift rng(bits * 1000 + hashes);
     std::vector<Addr> keys;
     for (int i = 0; i < 200; ++i) {

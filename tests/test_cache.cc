@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
@@ -16,9 +17,9 @@ namespace
 struct CacheTest : public ::testing::Test
 {
     TechParams tech;
-    NullEnergySink sink;
+    TestMeter meter;
     CacheConfig cfg; // Table 2 defaults: 256 B, 8-way, 16 B blocks
-    DataCache cache{cfg, tech, sink};
+    DataCache cache{cfg, tech, meter};
 
     std::vector<Word>
     block(Word seed)
@@ -179,8 +180,8 @@ TEST_P(CacheGeometry, FillAndLookupAllBlocks)
     cfg.blockBytes = block_bytes;
     cfg.ways = ways;
     TechParams tech;
-    NullEnergySink sink;
-    DataCache cache(cfg, tech, sink);
+    TestMeter meter;
+    DataCache cache(cfg, tech, meter);
 
     std::vector<Word> data(cfg.wordsPerBlock(), 5);
     for (uint32_t i = 0; i < cfg.numBlocks(); ++i) {

@@ -24,6 +24,7 @@
 #include "mem/nvm.hh"
 #include "sim/randprog.hh"
 #include "sim/simulator.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
@@ -44,10 +45,10 @@ struct DeepCheckProperty : public ::testing::Test
     static constexpr uint32_t kTags = 48;
 
     TechParams tech;
-    NullEnergySink sink;
-    MapTable mt{64, tech, sink};
-    FreeList fl{kReservedCount, tech, sink};
-    MapTableCache mtc{16, 4, tech, sink};
+    TestMeter meter;
+    MapTable mt{64, tech, meter};
+    FreeList fl{kReservedCount, tech, meter};
+    MapTableCache mtc{16, 4, tech, meter};
 
     /** Uncommitted renames: tag -> popped fresh location. */
     std::unordered_map<Addr, Addr> pending;
@@ -235,10 +236,10 @@ TEST_F(DeepCheckProperty, AppBlockOnFreeListNeedsRenameEntry)
 struct SyntheticSink : public ::testing::Test
 {
     SystemConfig cfg = SystemConfig::smallPlatform();
-    NullEnergySink es;
-    Nvm nvm{cfg.nvmBytes, cfg.tech, es};
+    TestMeter meter;
+    Nvm nvm{cfg.nvmBytes, cfg.tech, meter};
     std::unique_ptr<IntermittentArch> arch =
-        makeArch(ArchKind::Clank, cfg, nvm, es);
+        makeArch(ArchKind::Clank, cfg, nvm, meter);
     InvariantSink sink{*arch, cfg};
 
     void
@@ -359,7 +360,7 @@ TEST_F(SyntheticSink, RenameAliasingFlaggedEagerly)
 TEST_F(SyntheticSink, IdealArchitectureSkipsWarChecking)
 {
     std::unique_ptr<IntermittentArch> ideal =
-        makeArch(ArchKind::Ideal, cfg, nvm, es);
+        makeArch(ArchKind::Ideal, cfg, nvm, meter);
     InvariantSink is(*ideal, cfg);
     is.recordAt(1, 1, EventKind::MemAccess, 0x400, (0u << 8) | 4);
     is.recordAt(2, 2, EventKind::NvmWrite, 0x400, 0xf);

@@ -8,7 +8,15 @@
  * alike and go unseen there. These pins catch it: every run below must
  * reproduce the recorded figures bit for bit on both engines.
  *
- * A deliberate change to the energy model re-records the table: a
+ * A second table pins fault-injected runs on the crash-exploration
+ * system: the crash cuts a per-word charge loop (a register persist,
+ * a journal append, a line fill) at a fixed point, so the exact order
+ * of the per-word cycle and energy charges around it shows in the
+ * ledger. engine-equivalence cannot see that order -- both engines
+ * share the memory side -- and the fault-free table never cuts a
+ * loop.
+ *
+ * A deliberate change to the energy model re-records the tables: a
  * failing case prints its replacement row.
  */
 
@@ -165,19 +173,15 @@ archEnumName(ArchKind kind)
     }
 }
 
-/** The table row a run would pin (printed on mismatch). */
+/** The figures of a run as a table row tail, from the total energy
+ *  on (printed on mismatch). */
 std::string
-pinRow(const Pin &pin, const RunResult &r)
+figuresRow(const RunResult &r)
 {
     char buf[64];
-    std::string row = std::string("    {\"") + pin.workload +
-                      "\", ArchKind::" + archEnumName(pin.arch) +
-                      (pin.policy == PolicyKind::Jit
-                           ? ", PolicyKind::Jit,\n"
-                           : ", PolicyKind::Watchdog,\n");
     std::snprintf(buf, sizeof(buf), "     0x%016" PRIx64 "ull,\n     {",
                   bits(r.totalEnergyNj));
-    row += buf;
+    std::string row = buf;
     for (size_t i = 0; i < kNumECats; ++i) {
         std::snprintf(buf, sizeof(buf), "0x%016" PRIx64 "ull%s",
                       bits(r.energy[i]),
@@ -192,8 +196,21 @@ pinRow(const Pin &pin, const RunResult &r)
     return row + buf;
 }
 
+/** The table row a run would pin (printed on mismatch). */
+std::string
+pinRow(const Pin &pin, const RunResult &r)
+{
+    return std::string("    {\"") + pin.workload +
+           "\", ArchKind::" + archEnumName(pin.arch) +
+           (pin.policy == PolicyKind::Jit ? ", PolicyKind::Jit,\n"
+                                          : ", PolicyKind::Watchdog,\n") +
+           figuresRow(r);
+}
+
+/** True when a run reproduces pinned figures bit for bit. */
+template <typename P>
 bool
-matchesPin(const Pin &pin, const RunResult &r)
+matchesFigures(const P &pin, const RunResult &r)
 {
     for (size_t i = 0; i < kNumECats; ++i)
         if (bits(r.energy[i]) != pin.energy[i])
@@ -220,8 +237,184 @@ TEST_P(EnergyLedgerPins, RunsReproducePinnedLedger)
         if (pin.policy == PolicyKind::Watchdog) { // covers Dead energy
             EXPECT_GT(r.powerFailures, 0u) << what;
         }
-        EXPECT_TRUE(matchesPin(pin, r))
+        EXPECT_TRUE(matchesFigures(pin, r))
             << what << " now reproduces:\n" << pinRow(pin, r);
+    }
+}
+
+/** One pinned fault-injected run on the crash-exploration system and
+ *  the figures it must reproduce. */
+struct FaultPin
+{
+    const char *workload;
+    ArchKind arch;
+    uint64_t crashAtPersist; ///< 0 = none
+    uint64_t crashAtCycle;   ///< 0 = none
+    const char *where;       ///< what the crash cuts
+    bool torn;               ///< the crash tears a backup
+    uint64_t totalEnergy;
+    uint64_t energy[kNumECats];
+    uint64_t activeCycles;
+    uint64_t totalCycles;
+    uint64_t backups;
+};
+
+// The crash points come from a census of the same system (fault layer
+// on, nothing armed). Each arch is cut in the middle of a backup's
+// 17-word register persist twice: at a persist boundary, and at a
+// cycle inside one word's stall cycles, where the word's energy charge
+// follows its cycle charge -- swapping the two in any per-word persist
+// loop changes what a cycle crash leaves charged. Clank and NvMR are
+// also cut in the middle of a 4-word journal append, the same two
+// ways (HOOP's log appends are not persist boundaries on this system,
+// so it has no journal rows), and every arch at the second word-read
+// cycle of a miss's line fill.
+const FaultPin kFaultPins[] = {
+    {"hist", ArchKind::Clank, 306, 0, "register persist", true,
+     0x4149915add7090bdull,
+     {0x4119bf76d70a3d72ull, 0x0000000000000000ull,
+      0x41462b323333201aull, 0x0000000000000000ull,
+      0x406a5999999999a9ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40d6e8347ae14756ull},
+     576226, 10600226, 485},
+    {"hist", ArchKind::Clank, 0, 4631, "register persist", true,
+     0x414990dd2a3d5d8bull,
+     {0x4119bfaa47ae147cull, 0x0000000000000000ull,
+      0x41462acfccccb9b4ull, 0x0000000000000000ull,
+      0x406a5999999999a9ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40d6d7570a3d704bull},
+     576164, 10600164, 485},
+    {"hist", ArchKind::Clank, 248, 0, "journal append", true,
+     0x414989abe51ea543ull,
+     {0x4119c01128f5c290ull, 0x0000000000000000ull,
+      0x414623729999868cull, 0x0000000000000000ull,
+      0x406a5999999999a9ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40d6e6dfffffffa7ull},
+     575784, 10599784, 485},
+    {"hist", ArchKind::Clank, 0, 4223, "journal append", true,
+     0x414989fd770a2a61ull,
+     {0x4119c01128f5c290ull, 0x0000000000000000ull,
+      0x414623ff9999868bull, 0x0000000000000000ull,
+      0x406a5999999999a9ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40d6c928f5c28f03ull},
+     575724, 10599724, 485},
+    {"hist", ArchKind::Clank, 0, 16052, "line fill", false,
+     0x4149659a0cccb9bfull,
+     {0x4119bff85c28f5c4ull, 0x0000000000000000ull,
+      0x4146232e33332026ull, 0x0000000000000000ull,
+      0x406a5999999999a9ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40b406cf5c28f5beull},
+     571576, 10595576, 485},
+    {"hist", ArchKind::Nvmr, 409, 0, "register persist", true,
+     0x414931ba40000018ull,
+     {0x4129a6980000001bull, 0x40d6f675c28f5c36ull,
+      0x4133951b4ccccea6ull, 0x41255d59eb85194cull,
+      0x408047999999999bull, 0x40735170a3d70a3eull,
+      0x411aa4951eb855ecull, 0x40d108c51eb851fdull},
+     592446, 10584446, 288},
+    {"hist", ArchKind::Nvmr, 0, 6332, "register persist", true,
+     0x414931be7d70a3f0ull,
+     {0x4129a6980000001bull, 0x40d6f675c28f5c36ull,
+      0x41339523b333350dull, 0x41255d5a147adbdcull,
+      0x408047999999999bull, 0x40735170a3d70a3eull,
+      0x411aa4951eb855ecull, 0x40d108c51eb851fdull},
+     592454, 10584454, 288},
+    {"hist", ArchKind::Nvmr, 3112, 0, "journal append", true,
+     0x41492a4c06666682ull,
+     {0x4129a6b61eb85206ull, 0x40d6f88a3d70a3e4ull,
+      0x41339000f3333512ull, 0x41254e45fae1424aull,
+      0x408047999999999bull, 0x40735170a3d70a3eull,
+      0x411a9e1d1eb855e8ull, 0x40d0dc647ae147bfull},
+     591897, 10583897, 288},
+    {"hist", ArchKind::Nvmr, 0, 1078057, "journal append", true,
+     0x41492a517d70a3f5ull,
+     {0x4129a6b1eb851ed4ull, 0x40d6f7fc28f5c29cull,
+      0x4133912ee6666845ull, 0x41254faac28f56c4ull,
+      0x408047999999999bull, 0x40735170a3d70a3eull,
+      0x411aad3733333739ull, 0x40ceecfae147ae34ull},
+     591860, 10583860, 288},
+    {"hist", ArchKind::Nvmr, 0, 13553, "line fill", false,
+     0x414917055eb8525aull,
+     {0x4129c4b7eb851ed1ull, 0x40d700d7ae147aedull,
+      0x41334bc8c0000241ull, 0x41255457e666615dull,
+      0x406556666666666aull, 0x401c8f5c28f5c27eull,
+      0x411b23b851eb896eull, 0x40c80b651eb851feull},
+     589771, 10125771, 282},
+    {"hist", ArchKind::Hoop, 43, 0, "register persist", true,
+     0x41421551ccccc4b4ull,
+     {0x410dfdcf999999deull, 0x0000000000000000ull,
+      0x413dafb8ccccbcb3ull, 0x0000000000000000ull,
+      0x410437e5ffffff02ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40ca1a0ccccccd15ull},
+     478474, 4238474, 112},
+    {"hist", ArchKind::Hoop, 0, 6701, "register persist", true,
+     0x414214ef66665e4full,
+     {0x410dfdcf999999deull, 0x0000000000000000ull,
+      0x413daef3ffffefe8ull, 0x0000000000000000ull,
+      0x410437e5ffffff02ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40ca1a0ccccccd15ull},
+     478458, 4238458, 112},
+    {"hist", ArchKind::Hoop, 0, 10432, "line fill", false,
+     0x41420cabbffff812ull,
+     {0x410dfe2f999999ddull, 0x0000000000000000ull,
+      0x413d7171666656a9ull, 0x0000000000000000ull,
+      0x4105b67dfffffed4ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x40c8a8333333337bull},
+     477510, 4237510, 112},
+};
+
+/** The crash-exploration system of nvmr_crashtest: small NvMR
+ *  structures with reclaim on, a 4000-cycle watchdog and its RF
+ *  trace. */
+RunResult
+runFaultPinned(const FaultPin &pin, EngineKind engine)
+{
+    Program prog = assembleWorkload(pin.workload);
+    SystemConfig cfg;
+    cfg.mapTableEntries = 64;
+    cfg.mtCacheEntries = 16;
+    cfg.mtCacheWays = 4;
+    cfg.reclaimEnabled = true;
+    std::unique_ptr<BackupPolicy> policy =
+        makePolicy(PolicySpec{PolicyKind::Watchdog, 4000});
+    HarvestTrace trace(TraceKind::Rf, 7, 8.0);
+    RunOptions opts;
+    opts.engine = engine;
+    opts.faults.enabled = true;
+    opts.faults.crashAtPersist = pin.crashAtPersist;
+    opts.faults.crashAtCycle = pin.crashAtCycle;
+    Simulator sim(prog, pin.arch, cfg, *policy, trace, opts);
+    return sim.run();
+}
+
+std::string
+faultPinRow(const FaultPin &pin, const RunResult &r)
+{
+    return std::string("    {\"") + pin.workload + "\", ArchKind::" +
+           archEnumName(pin.arch) + ", " +
+           std::to_string(pin.crashAtPersist) + ", " +
+           std::to_string(pin.crashAtCycle) + ", \"" + pin.where +
+           "\", " + (pin.torn ? "true" : "false") + ",\n" +
+           figuresRow(r);
+}
+
+TEST_P(EnergyLedgerPins, CrashedRunsReproducePinnedLedger)
+{
+    for (const FaultPin &pin : kFaultPins) {
+        RunResult r = runFaultPinned(pin, GetParam());
+        std::string what =
+            std::string(pin.workload) + "/" + archKindName(pin.arch) +
+            " crashed in a " + pin.where + " (" +
+            (pin.crashAtPersist
+                 ? "persist " + std::to_string(pin.crashAtPersist)
+                 : "cycle " + std::to_string(pin.crashAtCycle)) +
+            ") on " + engineKindName(GetParam());
+        ASSERT_TRUE(r.completed) << what;
+        EXPECT_TRUE(r.validated) << what;
+        EXPECT_EQ(r.injectedCrashes, 1u) << what;
+        EXPECT_EQ(r.tornBackups, pin.torn ? 1u : 0u) << what;
+        EXPECT_TRUE(matchesFigures(pin, r))
+            << what << " now reproduces:\n" << faultPinRow(pin, r);
     }
 }
 

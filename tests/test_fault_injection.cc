@@ -15,25 +15,13 @@
 #include "fault/fault.hh"
 #include "isa/assembler.hh"
 #include "mem/nvm.hh"
+#include "test_meter.hh"
 #include "sim/simulator.hh"
 
 namespace nvmr
 {
 namespace
 {
-
-/** Sink that records total energy and cycles. */
-class RecordingSink : public EnergySink
-{
-  public:
-    void consume(NanoJoules nj) override { energy += nj; }
-    void consumeOverhead(NanoJoules nj) override { overhead += nj; }
-    void addCycles(Cycles n) override { cycles += n; }
-
-    NanoJoules energy = 0;
-    NanoJoules overhead = 0;
-    Cycles cycles = 0;
-};
 
 // ----------------------------------------------------------------------
 // Torn writes and crash points
@@ -47,8 +35,8 @@ TEST(TornWrite, CrashAtPersistLeavesExactPrefix)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     // A five-word persist sequence: the crash must land before the
@@ -81,8 +69,8 @@ TEST(TornWrite, CrashFiresExactlyOnce)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     nvm.writeWord(0, 1);
@@ -146,8 +134,8 @@ TEST(Ecc, SingleStuckBitIsCorrected)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     nvm.writeWord(0x40, 0x0); // bit 5 will read back stuck high
@@ -165,8 +153,8 @@ TEST(Ecc, DoubleStuckBitExhaustsRetriesThenPropagates)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     nvm.writeWord(0x80, 0x0);
@@ -187,8 +175,8 @@ TEST(Ecc, DisabledEccReturnsRawCorruption)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     nvm.writeWord(0xc0, 0x0);
@@ -206,8 +194,8 @@ TEST(Ecc, TransientFlipsAlwaysCorrectedWhenSingleBit)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     nvm.writeWord(0x100, 0x12345678);
@@ -244,8 +232,8 @@ TEST(Ecc, WearCoupledStuckBitsAppear)
     FaultInjector inj(fc);
 
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm(1 << 16, tech, sink);
+    TestMeter meter;
+    Nvm nvm(1 << 16, tech, meter);
     nvm.attachFaults(&inj);
 
     // Hammer one word far past the wear threshold.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/freelist.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
@@ -16,8 +17,8 @@ namespace
 struct FreeListTest : public ::testing::Test
 {
     TechParams tech;
-    NullEnergySink sink;
-    FreeList fl{8, tech, sink};
+    TestMeter meter;
+    FreeList fl{8, tech, meter};
 
     void
     fill(uint32_t n = 8)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/maptable.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
@@ -16,8 +17,8 @@ namespace
 struct MapTableTest : public ::testing::Test
 {
     TechParams tech;
-    NullEnergySink sink;
-    MapTable mt{4, tech, sink};
+    TestMeter meter;
+    MapTable mt{4, tech, meter};
 };
 
 TEST_F(MapTableTest, LookupMissAndHit)

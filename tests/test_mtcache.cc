@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mtcache.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
@@ -17,8 +18,8 @@ namespace
 struct MtcTest : public ::testing::Test
 {
     TechParams tech;
-    NullEnergySink sink;
-    MapTableCache mtc{16, 4, tech, sink};
+    TestMeter meter;
+    MapTableCache mtc{16, 4, tech, meter};
 };
 
 TEST_F(MtcTest, MissThenHit)
@@ -97,7 +98,7 @@ TEST_F(MtcTest, VictimPrefersInvalid)
 TEST_F(MtcTest, FullyAssociativeMode)
 {
     // ways == 0 selects fully associative.
-    MapTableCache fa(8, 0, tech, sink);
+    MapTableCache fa(8, 0, tech, meter);
     for (Addr a = 0; a < 8; ++a) {
         MtcEntry &s = fa.victim(a * 16);
         EXPECT_FALSE(s.valid);
@@ -113,7 +114,7 @@ TEST_F(MtcTest, FullyAssociativeMode)
 TEST_F(MtcTest, LruWithinSet)
 {
     // Fully associative cache makes the LRU order easy to control.
-    MapTableCache fa(4, 0, tech, sink);
+    MapTableCache fa(4, 0, tech, meter);
     for (Addr a = 1; a <= 4; ++a) {
         MtcEntry &s = fa.victim(a * 16);
         fa.install(s, a * 16, 0, 0, false, true);

@@ -10,30 +10,18 @@
 #include <vector>
 
 #include "mem/nvm.hh"
+#include "test_meter.hh"
 
 namespace nvmr
 {
 namespace
 {
 
-/** Sink that records total energy and cycles. */
-class RecordingSink : public EnergySink
-{
-  public:
-    void consume(NanoJoules nj) override { energy += nj; }
-    void consumeOverhead(NanoJoules nj) override { overhead += nj; }
-    void addCycles(Cycles n) override { cycles += n; }
-
-    NanoJoules energy = 0;
-    NanoJoules overhead = 0;
-    Cycles cycles = 0;
-};
-
 struct NvmTest : public ::testing::Test
 {
     TechParams tech;
-    RecordingSink sink;
-    Nvm nvm{1 << 16, tech, sink};
+    TestMeter meter;
+    Nvm nvm{1 << 16, tech, meter};
 };
 
 TEST_F(NvmTest, ReadWriteRoundTrip)
@@ -53,12 +41,12 @@ TEST_F(NvmTest, LittleEndianLayout)
 TEST_F(NvmTest, AccountedAccessesChargeEnergyAndCycles)
 {
     nvm.writeWord(0, 1);
-    EXPECT_DOUBLE_EQ(sink.energy, tech.flashWriteWordNj);
-    EXPECT_EQ(sink.cycles, tech.flashWriteCycles);
+    EXPECT_DOUBLE_EQ(meter.energy(), tech.flashWriteWordNj);
+    EXPECT_EQ(meter.cycles(), tech.flashWriteCycles);
     nvm.readWord(0);
-    EXPECT_DOUBLE_EQ(sink.energy,
+    EXPECT_DOUBLE_EQ(meter.energy(),
                      tech.flashWriteWordNj + tech.flashReadWordNj);
-    EXPECT_EQ(sink.cycles,
+    EXPECT_EQ(meter.cycles(),
               tech.flashWriteCycles + tech.flashReadCycles);
 }
 
@@ -66,7 +54,7 @@ TEST_F(NvmTest, PeekPokeAreFree)
 {
     nvm.pokeWord(0, 5);
     nvm.peekWord(0);
-    EXPECT_DOUBLE_EQ(sink.energy, 0.0);
+    EXPECT_DOUBLE_EQ(meter.energy(), 0.0);
     EXPECT_EQ(nvm.totalWrites(), 0u);
     EXPECT_EQ(nvm.totalReads(), 0u);
 }
@@ -199,8 +187,8 @@ TEST_F(NvmTest, WearSaveRestoreAcrossChunks)
 
     // Restore into an NVM with a disjoint worn set: the restored
     // state replaces it entirely.
-    RecordingSink other_sink;
-    Nvm other(1 << 16, tech, other_sink);
+    TestMeter other_meter;
+    Nvm other(1 << 16, tech, other_meter);
     wearOut(other, 9 * kPage, 11);
     wearOut(other, kPage, 1);
     StateReader r(blob);

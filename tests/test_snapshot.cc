@@ -14,6 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "arch_harness.hh"
+#include "check/invariants.hh"
+#include "core/maptable.hh"
 #include "isa/assembler.hh"
 #include "power/policy.hh"
 #include "sim/simulator.hh"
@@ -399,6 +402,128 @@ TEST(StateBlob, HugeCountFieldsPanicBeforeAllocating)
         };
         EXPECT_DEATH({ r.vec<Wide>(); }, "snapshot blob underrun");
     }
+}
+
+// The per-entry restore loops refuse a count field the rest of the
+// blob cannot hold before reading any entry. The "need N x M" form of
+// the message is checkCount's, so an unchecked loop that only runs out
+// of bytes part-way (plain "need M bytes") does not pass these.
+
+namespace
+{
+
+constexpr const char *kCountUnderrun =
+    "snapshot blob underrun: need [0-9]+ x [0-9]+ bytes";
+constexpr uint64_t kHugeCount = uint64_t(1) << 60;
+
+/** Overwrite the u64 count field at `at`, which must read 0. */
+void
+patchCount(std::vector<uint8_t> &blob, size_t at)
+{
+    ASSERT_LE(at + sizeof(uint64_t), blob.size());
+    uint64_t old = 1;
+    std::memcpy(&old, blob.data() + at, sizeof(old));
+    ASSERT_EQ(old, 0u) << "count field not at offset " << at;
+    std::memcpy(blob.data() + at, &kHugeCount, sizeof(kHugeCount));
+}
+
+/** An architecture's state blob after the harness's initial backup. */
+std::vector<uint8_t>
+archBlob(ArchKind kind)
+{
+    ArchHarness h(kind);
+    StateWriter w;
+    h.arch->saveState(w);
+    return w.take();
+}
+
+} // namespace
+
+TEST(StateBlob, HugeStuckCellCountPanics)
+{
+    StateWriter w;
+    w.pod(FaultStats{});
+    w.u64(1); // rng
+    w.u64(kHugeCount);
+    w.u64(0);
+    std::vector<uint8_t> blob = w.take();
+    FaultInjector inj;
+    StateReader r(blob);
+    EXPECT_DEATH({ inj.restoreState(r, 0); }, kCountUnderrun);
+}
+
+TEST(StateBlob, HugeMapTableCountPanics)
+{
+    StateWriter w;
+    w.u64(kHugeCount);
+    w.u64(0); // tick
+    std::vector<uint8_t> blob = w.take();
+    TechParams tech;
+    TestMeter meter;
+    MapTable mt{4, tech, meter};
+    StateReader r(blob);
+    EXPECT_DEATH({ mt.restoreState(r); }, kCountUnderrun);
+}
+
+// HOOP's blob ends with its buffer index and committed log (both empty
+// after the initial backup), then 24 bytes: bufGroups, bufLastBlock,
+// regionFill and gcs.
+TEST(StateBlob, HugeHoopBufferIndexCountPanics)
+{
+    std::vector<uint8_t> blob = archBlob(ArchKind::Hoop);
+    patchCount(blob, blob.size() - 24 - 2 * sizeof(uint64_t));
+    ArchHarness h(ArchKind::Hoop);
+    StateReader r(blob);
+    EXPECT_DEATH({ h.arch->restoreState(r); }, kCountUnderrun);
+}
+
+TEST(StateBlob, HugeHoopCommittedLogCountPanics)
+{
+    std::vector<uint8_t> blob = archBlob(ArchKind::Hoop);
+    patchCount(blob, blob.size() - 24 - sizeof(uint64_t));
+    ArchHarness h(ArchKind::Hoop);
+    StateReader r(blob);
+    EXPECT_DEATH({ h.arch->restoreState(r); }, kCountUnderrun);
+}
+
+// NvMR's blob ends with its rename depths (empty after the initial
+// backup), two histograms, two bools and three addresses.
+TEST(StateBlob, HugeRenameDepthCountPanics)
+{
+    std::vector<uint8_t> blob = archBlob(ArchKind::Nvmr);
+    const size_t tail = 2 * sizeof(Histogram::Raw) + 2 + 3 * sizeof(Addr);
+    patchCount(blob, blob.size() - tail - sizeof(uint64_t));
+    ArchHarness h(ArchKind::Nvmr);
+    StateReader r(blob);
+    EXPECT_DEATH({ h.arch->restoreState(r); }, kCountUnderrun);
+}
+
+TEST(StateBlob, HugeInvariantAddressSetCountPanics)
+{
+    StateWriter w;
+    w.u8(0);  // epoch
+    w.u64(0); // lastCommitted
+    w.u64(kHugeCount); // gbfShadow
+    std::vector<uint8_t> blob = w.take();
+    ArchHarness h(ArchKind::Clank);
+    InvariantSink sink(*h.arch, h.cfg);
+    StateReader r(blob);
+    EXPECT_DEATH({ sink.restoreState(r); }, kCountUnderrun);
+}
+
+TEST(StateBlob, HugeInvariantAddressMapCountPanics)
+{
+    StateWriter w;
+    w.u8(0);  // epoch
+    w.u64(0); // lastCommitted
+    for (int set = 0; set < 3; ++set)
+        w.u64(0); // gbfShadow, readFirst, writeFirst
+    w.u64(kHugeCount); // volatileRenames
+    std::vector<uint8_t> blob = w.take();
+    ArchHarness h(ArchKind::Clank);
+    InvariantSink sink(*h.arch, h.cfg);
+    StateReader r(blob);
+    EXPECT_DEATH({ sink.restoreState(r); }, kCountUnderrun);
 }
 
 // ---------------------------------------------------------------------

@@ -192,8 +192,10 @@ renderSnapshot(const JsonValue &doc)
         std::printf("  eta %s", fmtSecs(eta->num).c_str());
     std::printf("\n");
 
-    // Parallel efficiency: total busy time across workers vs. the
-    // wall clock says how many cores the campaign actually used.
+    // Occupancy: total busy time across workers over the wall clock
+    // is the average number of busy workers. It is not a speedup --
+    // a busy worker can run slower than a lone one on a shared host
+    // -- so it is labeled as what it measures.
     const JsonValue *workers = doc.find("workers");
     double busy_total = 0;
     for (const JsonValue &w : workers->arr)
@@ -203,7 +205,8 @@ renderSnapshot(const JsonValue &doc)
     int engine_workers = static_cast<int>(
         doc.find("gauges")->numberAt("workers"));
     if (busy_total > 0 && elapsed > 0)
-        std::printf("speedup:  %.2fx over %d engine worker(s)\n",
+        std::printf("occupancy: %.2f of %d engine worker(s) busy on "
+                    "average (sum busy / elapsed)\n",
                     busy_total / 1e9 / elapsed, engine_workers);
 
     if (!workers->arr.empty()) {
