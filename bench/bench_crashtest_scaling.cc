@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "campaign/cellio.hh"
 #include "isa/assembler.hh"
 #include "sim/randprog.hh"
 #include "sim/simulator.hh"
@@ -46,14 +47,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     using namespace std::chrono;
     return duration_cast<duration<double>>(steady_clock::now() - t0)
         .count();
-}
-
-uint64_t
-bits(double d)
-{
-    uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
 }
 
 /** Rescale the generated program's outer loop (the same patch the
@@ -79,32 +72,12 @@ withIterations(const std::string &text, uint64_t iters)
     return out.str();
 }
 
-/** Full-counter identity: the forked run must reproduce the scratch
- *  run's result bit-for-bit (energy doubles included). */
+/** Run identity: the forked run must reproduce the scratch run's
+ *  result bit for bit -- every field the journal codec writes. */
 bool
 sameRun(const RunResult &a, const RunResult &b)
 {
-    bool same = a.completed == b.completed &&
-                a.activeCycles == b.activeCycles &&
-                a.totalCycles == b.totalCycles &&
-                a.instructions == b.instructions &&
-                a.backups == b.backups && a.restores == b.restores &&
-                a.violations == b.violations &&
-                a.renames == b.renames && a.reclaims == b.reclaims &&
-                a.powerFailures == b.powerFailures &&
-                a.nvmReads == b.nvmReads &&
-                a.nvmWrites == b.nvmWrites &&
-                a.maxWear == b.maxWear &&
-                a.cacheHits == b.cacheHits &&
-                a.cacheMisses == b.cacheMisses &&
-                a.tornBackups == b.tornBackups &&
-                a.injectedCrashes == b.injectedCrashes &&
-                a.eccCorrected == b.eccCorrected &&
-                a.eccUncorrectable == b.eccUncorrectable &&
-                bits(a.totalEnergyNj) == bits(b.totalEnergyNj);
-    for (size_t i = 0; i < kNumECats; ++i)
-        same = same && bits(a.energy[i]) == bits(b.energy[i]);
-    return same;
+    return campaign::encodeRunResult(a) == campaign::encodeRunResult(b);
 }
 
 struct Harness
@@ -146,20 +119,6 @@ struct Harness
         return r;
     }
 };
-
-/** Latest snapshot strictly before persist point `p` (the list is in
- *  capture order). */
-const MachineSnapshot *
-nearest(const std::vector<SnapshotPtr> &snaps, uint64_t p)
-{
-    const MachineSnapshot *best = nullptr;
-    for (const SnapshotPtr &s : snaps) {
-        if (s->persistCount >= p)
-            break;
-        best = s.get();
-    }
-    return best;
-}
 
 struct ModeTiming
 {
@@ -224,9 +183,11 @@ main(int argc, char **argv)
                 FaultConfig f;
                 f.enabled = true;
                 f.crashAtPersist = p;
-                const MachineSnapshot *from =
-                    forked ? nearest(sink.snapshots, p) : nullptr;
-                results.push_back(h.run(f, nullptr, from));
+                ptrdiff_t from =
+                    forked ? forkSource(sink.snapshots, f) : -1;
+                results.push_back(h.run(
+                    f, nullptr,
+                    from < 0 ? nullptr : sink.snapshots[from].get()));
             }
             ModeTiming t;
             t.seconds = secondsSince(start);

@@ -94,16 +94,18 @@ evalFuzzCase(const Program &prog, const std::string &text,
         return out;
     }
 
+    CheckCase cc = makeFuzzCheckCase(text, seed, c, faults);
+    if (budget_cycles)
+        cc.maxCycles = budget_cycles;
+    cc.cancel = cancel;
+    cc.engine = engine;
+
     if (oracle_mode) {
         // Full checked harness: lockstep invariants + oracle diff.
-        out.cc = makeFuzzCheckCase(text, seed, c, faults);
-        if (budget_cycles)
-            out.cc.maxCycles = budget_cycles;
-        out.cc.cancel = cancel;
-        out.cc.engine = engine;
-        CheckOutcome res = runChecked(out.cc);
-        out.cc.cancel = nullptr; // repro payloads stay runtime-free
-        out.cc.engine = EngineKind::Default;
+        CheckOutcome res = runChecked(cc);
+        cc.cancel = nullptr; // repro payloads stay runtime-free
+        cc.engine = EngineKind::Default;
+        out.cc = std::move(cc);
         out.ok = res.clean();
         if (!out.ok) {
             out.run = res.run;
@@ -112,31 +114,11 @@ evalFuzzCase(const Program &prog, const std::string &text,
         return out;
     }
 
-    // Small capacitors need the co-sized platform (atomic backups
-    // must fit one charge; see SystemConfig::smallPlatform).
-    SystemConfig cfg = c.farads < 1e-3 ? SystemConfig::smallPlatform()
-                                       : SystemConfig{};
-    cfg.capacitorFarads = c.farads;
-    cfg.mapTableEntries = 64;
-    cfg.mtCacheEntries = 16;
-    cfg.mtCacheWays = 4;
-    if (c.byteLbf)
-        cfg.cache.lbfGranularityBytes = 1;
-    PolicySpec spec;
-    spec.kind = c.policy;
-    if (c.farads < 1e-3)
-        spec.watchdogPeriod = 300;
-
-    auto policy = makePolicy(spec);
-    HarvestTrace trace(TraceKind::Rf, 40000 + seed, 7.0);
-    RunOptions opts;
-    if (faults)
-        opts.faults = *faults;
-    if (budget_cycles)
-        opts.maxCycles = budget_cycles;
-    opts.cancel = cancel;
-    opts.engine = engine;
-    Simulator sim(prog, c.arch, cfg, *policy, trace, opts);
+    // Plain mode: the same platform, checked by golden validation.
+    CheckPlatform plat(cc);
+    plat.opts.validate = true;
+    Simulator sim(prog, c.arch, plat.cfg, *plat.policy, plat.trace,
+                  plat.opts);
     out.run = sim.run();
     out.ok = out.run.completed && out.run.validated;
     return out;

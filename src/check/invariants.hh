@@ -20,8 +20,9 @@
  *     read its virtual address in the current backup interval.
  *
  * Sinks never charge energy or cycles, so checking is guaranteed not
- * to perturb the simulation (bench_oracle_overhead asserts stat
- * bit-identity).
+ * to perturb the simulation (CheckedArch.StatsBitIdenticalToUncheckedRun
+ * in tests/test_check_invariants.cc pins run identity per
+ * architecture).
  */
 
 #ifndef NVMR_CHECK_INVARIANTS_HH

@@ -10,34 +10,6 @@ namespace nvmr
 namespace
 {
 
-SystemConfig
-buildConfig(const CheckCase &c)
-{
-    // Small capacitors need the co-sized platform (atomic backups
-    // must fit one charge); mirror the fuzzer's configuration so a
-    // repro transfers between the tools unchanged.
-    SystemConfig cfg = c.farads < 1e-3 ? SystemConfig::smallPlatform()
-                                       : SystemConfig{};
-    cfg.capacitorFarads = c.farads;
-    cfg.mapTableEntries = 64;
-    cfg.mtCacheEntries = 16;
-    cfg.mtCacheWays = 4;
-    if (c.byteLbf)
-        cfg.cache.lbfGranularityBytes = 1;
-    cfg.injectedBug = c.injectedBug;
-    return cfg;
-}
-
-PolicySpec
-buildPolicySpec(const CheckCase &c)
-{
-    PolicySpec spec;
-    spec.kind = c.policy;
-    if (c.farads < 1e-3)
-        spec.watchdogPeriod = 300;
-    return spec;
-}
-
 /** Census helper: BackupCommit timestamps without ring-buffer
  *  pressure from the high-rate checker-feed events. */
 class CommitCycleSink : public TraceSink
@@ -88,33 +60,36 @@ class CheckRefSink : public SnapshotSink
     uint64_t points = 0;
 };
 
-/** The latest reference snapshot strictly before every armed crash
- *  point of `fc` (so every crash still fires in the fork); -1 when
- *  none qualifies and the run must start from scratch. */
-ptrdiff_t
-pickForkPoint(const CheckReference &ref, const FaultConfig &fc)
-{
-    auto valid = [&](const MachineSnapshot &s) {
-        if (fc.crashAtPersist && s.persistCount >= fc.crashAtPersist)
-            return false;
-        for (uint64_t p : fc.crashPersists)
-            if (p && s.persistCount >= p)
-                return false;
-        if (fc.crashAtCycle && s.totalCycles >= fc.crashAtCycle)
-            return false;
-        for (uint64_t t : fc.crashCycles)
-            if (t && s.totalCycles >= t)
-                return false;
-        return true;
-    };
-    ptrdiff_t best = -1;
-    for (size_t i = 0; i < ref.snapshots.size(); ++i)
-        if (valid(*ref.snapshots[i]))
-            best = static_cast<ptrdiff_t>(i);
-    return best;
-}
-
 } // namespace
+
+CheckPlatform::CheckPlatform(const CheckCase &c)
+    // Small capacitors need the co-sized platform (atomic backups
+    // must fit one charge); every checked tool runs a case on this
+    // platform, so a repro transfers between them unchanged.
+    : cfg(c.farads < 1e-3 ? SystemConfig::smallPlatform()
+                          : SystemConfig{}),
+      trace(c.traceKind, c.traceSeed, c.traceMeanMw)
+{
+    cfg.capacitorFarads = c.farads;
+    cfg.mapTableEntries = 64;
+    cfg.mtCacheEntries = 16;
+    cfg.mtCacheWays = 4;
+    if (c.byteLbf)
+        cfg.cache.lbfGranularityBytes = 1;
+    cfg.injectedBug = c.injectedBug;
+
+    PolicySpec spec;
+    spec.kind = c.policy;
+    if (c.farads < 1e-3)
+        spec.watchdogPeriod = 300;
+    policy = makePolicy(spec);
+
+    opts.maxCycles = c.maxCycles;
+    opts.faults = c.faults;
+    opts.cancel = c.cancel;
+    opts.engine = c.engine;
+    opts.validate = false;
+}
 
 std::string
 CheckOutcome::describe() const
@@ -174,23 +149,14 @@ runReference(const CheckCase &c, uint64_t stride)
     ref_case.faults.crashCycles.clear();
 
     Program prog = assemble(ref_case.name, ref_case.programText);
-    SystemConfig cfg = buildConfig(ref_case);
-    PolicySpec spec = buildPolicySpec(ref_case);
-    auto policy = makePolicy(spec);
-    HarvestTrace trace(ref_case.traceKind, ref_case.traceSeed,
-                       ref_case.traceMeanMw);
-    RunOptions opts;
-    opts.maxCycles = ref_case.maxCycles;
-    opts.faults = ref_case.faults;
-    opts.cancel = ref_case.cancel;
-    opts.engine = ref_case.engine;
-    opts.validate = false;
+    CheckPlatform plat(ref_case);
 
     CheckReference out;
     CheckRefSink collector(out, stride);
-    opts.snapshots = &collector;
-    Simulator sim(prog, ref_case.arch, cfg, *policy, trace, opts);
-    InvariantSink inv(sim.archRef(), cfg);
+    plat.opts.snapshots = &collector;
+    Simulator sim(prog, ref_case.arch, plat.cfg, *plat.policy,
+                  plat.trace, plat.opts);
+    InvariantSink inv(sim.archRef(), plat.cfg);
     sim.attachTrace(&inv);
     collector.bind(&inv);
     out.completed = sim.run().completed;
@@ -202,28 +168,17 @@ runChecked(const CheckCase &c, const OracleResult *oracle,
            const CheckReference *ref)
 {
     Program prog = assemble(c.name, c.programText);
-    SystemConfig cfg = buildConfig(c);
-    PolicySpec spec = buildPolicySpec(c);
-    auto policy = makePolicy(spec);
-    HarvestTrace trace(c.traceKind, c.traceSeed, c.traceMeanMw);
-    RunOptions opts;
-    opts.maxCycles = c.maxCycles;
-    opts.faults = c.faults;
-    opts.cancel = c.cancel;
-    opts.engine = c.engine;
-    // The oracle diff below subsumes (and extends) the built-in
-    // golden comparison; skipping it avoids a redundant continuous
-    // run per schedule.
-    opts.validate = false;
+    CheckPlatform plat(c);
 
     // Fork mid-trace when a usable reference snapshot precedes every
     // armed crash point.
-    ptrdiff_t fork = ref ? pickForkPoint(*ref, c.faults) : -1;
+    ptrdiff_t fork = ref ? forkSource(ref->snapshots, c.faults) : -1;
     if (fork >= 0)
-        opts.resumeFrom = ref->snapshots[fork].get();
+        plat.opts.resumeFrom = ref->snapshots[fork].get();
 
-    Simulator sim(prog, c.arch, cfg, *policy, trace, opts);
-    InvariantSink inv(sim.archRef(), cfg);
+    Simulator sim(prog, c.arch, plat.cfg, *plat.policy, plat.trace,
+                  plat.opts);
+    InvariantSink inv(sim.archRef(), plat.cfg);
     sim.attachTrace(&inv);
     if (fork >= 0) {
         StateReader r(ref->invStates[fork]);
@@ -258,19 +213,9 @@ runCensus(const CheckCase &c)
     census.faults.enabled = true; // count persists, inject nothing
 
     Program prog = assemble(census.name, census.programText);
-    SystemConfig cfg = buildConfig(census);
-    PolicySpec spec = buildPolicySpec(census);
-    auto policy = makePolicy(spec);
-    HarvestTrace trace(census.traceKind, census.traceSeed,
-                       census.traceMeanMw);
-    RunOptions opts;
-    opts.maxCycles = census.maxCycles;
-    opts.faults = census.faults;
-    opts.cancel = census.cancel;
-    opts.engine = census.engine;
-    opts.validate = false;
-
-    Simulator sim(prog, census.arch, cfg, *policy, trace, opts);
+    CheckPlatform plat(census);
+    Simulator sim(prog, census.arch, plat.cfg, *plat.policy, plat.trace,
+                  plat.opts);
     CommitCycleSink commits;
     sim.attachTrace(&commits);
     RunResult r = sim.run();

@@ -9,6 +9,7 @@
 #ifndef NVMR_CHECK_RUNNER_HH
 #define NVMR_CHECK_RUNNER_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,10 +17,34 @@
 #include "check/oracle.hh"
 #include "check/repro.hh"
 #include "fault/fault.hh"
+#include "power/policy.hh"
+#include "power/trace.hh"
 #include "sim/simulator.hh"
 
 namespace nvmr
 {
+
+/**
+ * The platform a CheckCase runs on, shared by every checked run, the
+ * fuzzer's plain mode and the census: below 1 mF the co-sized small
+ * platform (atomic backups must fit one charge) with a 300-cycle
+ * watchdog period; everywhere a 64-entry map table and a 16-entry,
+ * 4-way map-table cache; the case's harvest trace, cycle budget,
+ * fault schedule, cancel flag and engine. Golden validation is off:
+ * the checked harness's oracle diff subsumes and extends it, and
+ * skipping it saves a continuous run per schedule. A
+ * Simulator keeps references to `cfg` and `trace`, so the platform
+ * must outlive the run.
+ */
+struct CheckPlatform
+{
+    explicit CheckPlatform(const CheckCase &c);
+
+    SystemConfig cfg;
+    std::unique_ptr<BackupPolicy> policy; ///< fresh run state
+    HarvestTrace trace;
+    RunOptions opts;
+};
 
 /** Everything one checked run produced. */
 struct CheckOutcome

@@ -36,7 +36,12 @@ void
 fatalImpl(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(kExitUsage);
+    // fatal() may run on a src/par worker. std::exit would run the
+    // static destructors there, and the worker pool's destructor
+    // joins its threads -- the calling one included, which aborts.
+    // Flush what the tool already printed and leave without them.
+    std::fflush(nullptr);
+    std::_Exit(kExitUsage);
 }
 
 void

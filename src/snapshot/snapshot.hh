@@ -12,6 +12,7 @@
 #ifndef NVMR_SNAPSHOT_SNAPSHOT_HH
 #define NVMR_SNAPSHOT_SNAPSHOT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,6 +23,7 @@ namespace nvmr
 {
 
 class Simulator;
+struct FaultConfig;
 
 /** Full device + simulator state at one safe point. Immutable once
  *  captured; share freely across forks via shared_ptr. */
@@ -47,7 +49,7 @@ using SnapshotPtr = std::shared_ptr<const MachineSnapshot>;
  * Observer invoked by both execution engines at every safe point (the
  * first instruction boundary after a committed backup) when attached
  * via RunOptions::snapshots. The sink decides whether to actually
- * capture (striding, caps) by calling Simulator::captureSnapshot().
+ * capture (striding, window bound) by calling Simulator::captureSnapshot().
  */
 class SnapshotSink
 {
@@ -56,8 +58,8 @@ class SnapshotSink
     virtual void onSnapshotPoint(Simulator &sim) = 0;
 };
 
-/** Capture-everything sink with an optional stride and cap; the
- *  building block for the crash explorer and shrinker. */
+/** Capture-everything sink with an optional stride; the building
+ *  block for the crash explorer and shrinker. */
 class CollectingSnapshotSink : public SnapshotSink
 {
   public:
@@ -66,7 +68,6 @@ class CollectingSnapshotSink : public SnapshotSink
 
     /**
      * @param stride_ capture every Nth safe point (0 acts as 1)
-     * @param cap_ keep at most this many snapshots (0 = unbounded)
      * @param max_windows_ stop capturing once the fault injector has
      *        recorded more than this many backup windows; a crash
      *        explorer that only probes the first N windows never
@@ -74,10 +75,8 @@ class CollectingSnapshotSink : public SnapshotSink
      *        (RunOptions::faults.enabled), which records the windows.
      */
     explicit CollectingSnapshotSink(uint64_t stride_ = 1,
-                                    size_t cap_ = 0,
                                     uint64_t max_windows_ = kAllWindows)
-        : stride(stride_ ? stride_ : 1), cap(cap_),
-          maxWindows(max_windows_)
+        : stride(stride_ ? stride_ : 1), maxWindows(max_windows_)
     {}
 
     void onSnapshotPoint(Simulator &sim) override;
@@ -89,9 +88,19 @@ class CollectingSnapshotSink : public SnapshotSink
 
   private:
     uint64_t stride;
-    size_t cap; // 0 = unbounded
     uint64_t maxWindows;
 };
+
+/**
+ * The fork source of a run armed with `faults`: the index of the
+ * latest snapshot in `snaps` taken strictly before every armed crash
+ * point (persist boundaries and cycles, single-shot and scheduled),
+ * so each crash still fires in the fork. -1 when none qualifies and
+ * the run must start from reset. `snaps` must be in capture order of
+ * one run, where both counters only grow.
+ */
+ptrdiff_t forkSource(const std::vector<SnapshotPtr> &snaps,
+                     const FaultConfig &faults);
 
 } // namespace nvmr
 

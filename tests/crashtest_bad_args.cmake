@@ -52,6 +52,20 @@ foreach(bad
     endif()
 endforeach()
 
+# --no-fork (from-scratch exploration) is gone; --verify-fork keeps
+# the from-scratch run as its reference. The flag must be refused
+# like any unknown argument (the usage text goes to stdout).
+execute_process(
+    COMMAND "${CRASHTEST}" ${tiny} --no-fork
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown argument '--no-fork'")
+    message(FATAL_ERROR
+            "nvmr_crashtest --no-fork exited with ${rc}, expected 2:\n"
+            "${err}")
+endif()
+
 execute_process(
     COMMAND "${CRASHTEST}" ${tiny} --jobs 0
     OUTPUT_VARIABLE out
@@ -62,5 +76,5 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "crashtest passed: 1 crash points")
             "nvmr_crashtest --jobs 0 exited with ${rc}:\n${out}${err}")
 endif()
 
-message(STATUS "crashtest-bad-args: every malformed count rejected "
-               "with exit 2; --jobs 0 still runs")
+message(STATUS "crashtest-bad-args: every malformed count and "
+               "--no-fork rejected with exit 2; --jobs 0 still runs")

@@ -22,6 +22,7 @@
 #include "core/mtcache.hh"
 #include "isa/assembler.hh"
 #include "mem/nvm.hh"
+#include "run_identity.hh"
 #include "sim/randprog.hh"
 #include "sim/simulator.hh"
 #include "test_meter.hh"
@@ -446,54 +447,33 @@ TEST(CheckedRun, SeededFreeListLeakCaught)
 // identically configured unchecked run produce bit-identical stats.
 // ----------------------------------------------------------------------
 
-TEST(CheckedRun, StatsBitIdenticalToUncheckedRun)
+class CheckedArch : public ::testing::TestWithParam<ArchKind>
+{};
+
+TEST_P(CheckedArch, StatsBitIdenticalToUncheckedRun)
 {
-    CheckCase c =
-        smallCase(ArchKind::Nvmr, PolicyKind::Watchdog, 500e-6, 2);
+    CheckCase c = smallCase(GetParam(), PolicyKind::Watchdog, 500e-6, 2);
     c.faults.enabled = true;
     c.faults.seed = 2;
     c.faults.crashPersists = {90, 400};
     CheckOutcome out = runChecked(c);
-    ASSERT_TRUE(out.run.completed);
+    ASSERT_TRUE(out.clean()) << out.describe() << "\n" << out.detail();
 
-    // Mirror runChecked's configuration exactly, minus the sink.
+    // The same case on the same platform, minus the checker.
     Program prog = assemble(c.name, c.programText);
-    SystemConfig cfg = SystemConfig::smallPlatform();
-    cfg.capacitorFarads = c.farads;
-    cfg.mapTableEntries = 64;
-    cfg.mtCacheEntries = 16;
-    cfg.mtCacheWays = 4;
-    PolicySpec spec;
-    spec.kind = c.policy;
-    spec.watchdogPeriod = 300;
-    auto policy = makePolicy(spec);
-    HarvestTrace trace(c.traceKind, c.traceSeed, c.traceMeanMw);
-    RunOptions opts;
-    opts.maxCycles = c.maxCycles;
-    opts.faults = c.faults;
-    opts.validate = false;
-    Simulator sim(prog, c.arch, cfg, *policy, trace, opts);
-    RunResult bare = sim.run();
-
-    EXPECT_EQ(out.run.completed, bare.completed);
-    EXPECT_EQ(out.run.activeCycles, bare.activeCycles);
-    EXPECT_EQ(out.run.totalCycles, bare.totalCycles);
-    EXPECT_EQ(out.run.instructions, bare.instructions);
-    EXPECT_EQ(out.run.totalEnergyNj, bare.totalEnergyNj);
-    EXPECT_EQ(out.run.backups, bare.backups);
-    EXPECT_EQ(out.run.violations, bare.violations);
-    EXPECT_EQ(out.run.renames, bare.renames);
-    EXPECT_EQ(out.run.reclaims, bare.reclaims);
-    EXPECT_EQ(out.run.restores, bare.restores);
-    EXPECT_EQ(out.run.powerFailures, bare.powerFailures);
-    EXPECT_EQ(out.run.nvmReads, bare.nvmReads);
-    EXPECT_EQ(out.run.nvmWrites, bare.nvmWrites);
-    EXPECT_EQ(out.run.maxWear, bare.maxWear);
-    EXPECT_EQ(out.run.cacheHits, bare.cacheHits);
-    EXPECT_EQ(out.run.cacheMisses, bare.cacheMisses);
-    EXPECT_EQ(out.run.injectedCrashes, bare.injectedCrashes);
-    EXPECT_EQ(out.run.tornBackups, bare.tornBackups);
+    CheckPlatform plat(c);
+    Simulator sim(prog, c.arch, plat.cfg, *plat.policy, plat.trace,
+                  plat.opts);
+    EXPECT_TRUE(sameRun(out.run, sim.run()));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Archs, CheckedArch,
+    ::testing::Values(ArchKind::Nvmr, ArchKind::Clank, ArchKind::Hoop,
+                      ArchKind::Task),
+    [](const ::testing::TestParamInfo<ArchKind> &info) {
+        return archKindName(info.param);
+    });
 
 } // namespace
 } // namespace nvmr

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "isa/assembler.hh"
 #include "obs/trace.hh"
 #include "power/policy.hh"
+#include "run_identity.hh"
 #include "sim/engine.hh"
 #include "sim/randprog.hh"
 #include "sim/simulator.hh"
@@ -32,16 +32,6 @@ using namespace nvmr;
 
 namespace
 {
-
-/** Bit pattern of a double: equality below means bit-identity, not
- *  approximate agreement. */
-uint64_t
-bits(double d)
-{
-    uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-}
 
 /** Everything one run produced, captured for byte-comparison. */
 struct Fingerprint
@@ -86,48 +76,10 @@ runOne(const Program &prog, ArchKind arch, BackupPolicy &policy,
 }
 
 void
-expectSameResult(const RunResult &a, const RunResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.program, b.program) << what;
-    EXPECT_EQ(a.arch, b.arch) << what;
-    EXPECT_EQ(a.policy, b.policy) << what;
-    EXPECT_EQ(a.trace, b.trace) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.validated, b.validated) << what;
-    EXPECT_EQ(a.validationChecked, b.validationChecked) << what;
-    EXPECT_EQ(a.activeCycles, b.activeCycles) << what;
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    for (size_t i = 0; i < kNumECats; ++i)
-        EXPECT_EQ(bits(a.energy[i]), bits(b.energy[i]))
-            << what << " energy category " << i;
-    EXPECT_EQ(bits(a.totalEnergyNj), bits(b.totalEnergyNj)) << what;
-    EXPECT_EQ(a.backups, b.backups) << what;
-    for (size_t i = 0; i < kNumBackupReasons; ++i)
-        EXPECT_EQ(a.backupsByReason[i], b.backupsByReason[i])
-            << what << " backup reason " << i;
-    EXPECT_EQ(a.violations, b.violations) << what;
-    EXPECT_EQ(a.renames, b.renames) << what;
-    EXPECT_EQ(a.reclaims, b.reclaims) << what;
-    EXPECT_EQ(a.restores, b.restores) << what;
-    EXPECT_EQ(a.powerFailures, b.powerFailures) << what;
-    EXPECT_EQ(a.nvmReads, b.nvmReads) << what;
-    EXPECT_EQ(a.nvmWrites, b.nvmWrites) << what;
-    EXPECT_EQ(a.maxWear, b.maxWear) << what;
-    EXPECT_EQ(a.cacheHits, b.cacheHits) << what;
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses) << what;
-    EXPECT_EQ(a.tornBackups, b.tornBackups) << what;
-    EXPECT_EQ(a.injectedCrashes, b.injectedCrashes) << what;
-    EXPECT_EQ(a.eccCorrected, b.eccCorrected) << what;
-    EXPECT_EQ(a.eccUncorrectable, b.eccUncorrectable) << what;
-}
-
-void
 expectSame(const Fingerprint &a, const Fingerprint &b,
            const std::string &what)
 {
-    expectSameResult(a.result, b.result, what);
+    EXPECT_TRUE(sameRun(a.result, b.result)) << what;
     EXPECT_EQ(a.finalData, b.finalData) << what << " final image";
     EXPECT_EQ(a.regs, b.regs) << what << " registers";
     EXPECT_EQ(a.pc, b.pc) << what;

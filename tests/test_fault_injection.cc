@@ -15,6 +15,7 @@
 #include "fault/fault.hh"
 #include "isa/assembler.hh"
 #include "mem/nvm.hh"
+#include "run_identity.hh"
 #include "test_meter.hh"
 #include "sim/simulator.hh"
 
@@ -387,15 +388,7 @@ TEST_P(FaultedArch, DisabledInjectorIsBitIdenticalToDefaultRun)
     armed.faults.stuckBitRatePerWrite = 0.5;
     RunResult off = runWith(armed);
 
-    EXPECT_EQ(off.totalCycles, plain.totalCycles);
-    EXPECT_EQ(off.activeCycles, plain.activeCycles);
-    EXPECT_EQ(off.instructions, plain.instructions);
-    EXPECT_EQ(off.backups, plain.backups);
-    EXPECT_EQ(off.restores, plain.restores);
-    EXPECT_EQ(off.nvmReads, plain.nvmReads);
-    EXPECT_EQ(off.nvmWrites, plain.nvmWrites);
-    EXPECT_EQ(off.totalEnergyNj, plain.totalEnergyNj)
-        << "energy must match to the last bit";
+    EXPECT_TRUE(sameRun(off, plain));
     EXPECT_EQ(off.injectedCrashes, 0u);
     EXPECT_EQ(off.tornBackups, 0u);
 }

@@ -11,6 +11,7 @@
 
 #include <sstream>
 
+#include "check/runner.hh"
 #include "isa/assembler.hh"
 #include "sim/randprog.hh"
 #include "sim/simulator.hh"
@@ -47,31 +48,24 @@ class IntermittentCorrectness
 TEST_P(IntermittentCorrectness, FinalStateMatchesContinuousRun)
 {
     const CorrectnessCase &c = GetParam();
-    Program prog = assemble(
-        "rand" + std::to_string(c.seed), makeRandomProgram(c.seed));
+    CheckCase cc;
+    cc.name = "rand" + std::to_string(c.seed);
+    cc.arch = c.arch;
+    cc.policy = c.policy;
+    cc.farads = c.farads;
+    cc.traceSeed = 4000 + c.seed;
+    Program prog = assemble(cc.name, makeRandomProgram(c.seed));
 
-    // A tiny capacitor can only make forward progress if the
-    // backup interval, the worst-case (atomic) backup cost and
-    // HOOP's restore-time log GC all fit inside one charge: the
-    // small platform co-sizes every structure with the capacitor
-    // (the paper's watchdog/HOOP runs use the 100 mF default).
-    SystemConfig cfg = c.farads < 1e-3
-                           ? SystemConfig::smallPlatform()
-                           : SystemConfig{};
-    cfg.capacitorFarads = c.farads;
-    // Small structures stress the structural-hazard paths.
-    cfg.mapTableEntries = 64;
-    cfg.mtCacheEntries = 16;
-    cfg.mtCacheWays = 4;
-
-    PolicySpec spec;
-    spec.kind = c.policy;
-    if (c.farads < 1e-3)
-        spec.watchdogPeriod = 300;
-    auto policy = makePolicy(spec);
-
-    HarvestTrace trace(TraceKind::Rf, 4000 + c.seed, 7.0);
-    Simulator sim(prog, c.arch, cfg, *policy, trace);
+    // The checked platform: a tiny capacitor can only make forward
+    // progress if the backup interval, the worst-case (atomic) backup
+    // cost and HOOP's restore-time log GC all fit inside one charge,
+    // so below 1 mF every structure is co-sized with the capacitor
+    // (the paper's watchdog/HOOP runs use the 100 mF default); small
+    // map structures stress the structural-hazard paths.
+    CheckPlatform plat(cc);
+    plat.opts.validate = true;
+    Simulator sim(prog, cc.arch, plat.cfg, *plat.policy, plat.trace,
+                  plat.opts);
     RunResult r = sim.run();
     ASSERT_TRUE(r.completed) << "did not complete";
     EXPECT_TRUE(r.validated) << "final NVM state diverged";

@@ -14,6 +14,7 @@
 #include "isa/assembler.hh"
 #include "obs/json.hh"
 #include "obs/trace.hh"
+#include "run_identity.hh"
 #include "sim/simulator.hh"
 
 namespace nvmr
@@ -309,26 +310,7 @@ TEST_F(TracedSim, DisabledSinkIsBitIdentical)
     RunResult bare = run(nullptr);
     ASSERT_GT(buf.totalRecorded(), 0u);
 
-    EXPECT_EQ(bare.completed, traced.completed);
-    EXPECT_EQ(bare.validated, traced.validated);
-    EXPECT_EQ(bare.activeCycles, traced.activeCycles);
-    EXPECT_EQ(bare.totalCycles, traced.totalCycles);
-    EXPECT_EQ(bare.instructions, traced.instructions);
-    EXPECT_EQ(bare.backups, traced.backups);
-    EXPECT_EQ(bare.violations, traced.violations);
-    EXPECT_EQ(bare.renames, traced.renames);
-    EXPECT_EQ(bare.reclaims, traced.reclaims);
-    EXPECT_EQ(bare.restores, traced.restores);
-    EXPECT_EQ(bare.powerFailures, traced.powerFailures);
-    EXPECT_EQ(bare.nvmReads, traced.nvmReads);
-    EXPECT_EQ(bare.nvmWrites, traced.nvmWrites);
-    EXPECT_EQ(bare.maxWear, traced.maxWear);
-    EXPECT_EQ(bare.cacheHits, traced.cacheHits);
-    EXPECT_EQ(bare.cacheMisses, traced.cacheMisses);
-    // Energy is the most sensitive accumulator: bit-identical.
-    for (size_t c = 0; c < kNumECats; ++c)
-        EXPECT_EQ(bare.energy[c], traced.energy[c]) << "cat " << c;
-    EXPECT_EQ(bare.totalEnergyNj, traced.totalEnergyNj);
+    EXPECT_TRUE(sameRun(bare, traced));
 }
 
 } // namespace

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/log.hh"
 #include "par/par.hh"
 
 namespace nvmr
@@ -148,6 +151,29 @@ TEST(Par, ProgressIsSideEffectFreeOffTty)
     progress.finish();
     for (size_t i = 0; i < 64; ++i)
         EXPECT_EQ(out[i], mix(i));
+}
+
+TEST(ParDeathTest, FatalOnAWorkerExitsWithUsageCode)
+{
+    // fatal() on a pool thread must leave with exit 2 like it does on
+    // the main thread, not abort while the exit path joins the pool.
+    // The calling thread parks, so the fatal call runs on a worker.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            std::thread::id caller = std::this_thread::get_id();
+            par::parallelFor(
+                8,
+                [&](size_t) {
+                    if (std::this_thread::get_id() != caller)
+                        fatal("worker failed");
+                    for (;;)
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(10));
+                },
+                4);
+        },
+        ::testing::ExitedWithCode(2), "fatal: worker failed");
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include "core/maptable.hh"
 #include "isa/assembler.hh"
 #include "power/policy.hh"
+#include "run_identity.hh"
 #include "sim/simulator.hh"
 #include "snapshot/cow.hh"
 #include "snapshot/snapshot.hh"
@@ -556,31 +557,10 @@ fingerprint(Simulator &sim, const RunResult &r)
     return f;
 }
 
-uint64_t
-bits(double d)
-{
-    uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-}
-
 void
 expectIdentical(const Final &a, const Final &b, const char *what)
 {
-    EXPECT_EQ(a.result.completed, b.result.completed) << what;
-    EXPECT_EQ(a.result.totalCycles, b.result.totalCycles) << what;
-    EXPECT_EQ(a.result.activeCycles, b.result.activeCycles) << what;
-    EXPECT_EQ(a.result.instructions, b.result.instructions) << what;
-    EXPECT_EQ(a.result.backups, b.result.backups) << what;
-    EXPECT_EQ(a.result.restores, b.result.restores) << what;
-    EXPECT_EQ(a.result.powerFailures, b.result.powerFailures) << what;
-    EXPECT_EQ(a.result.nvmWrites, b.result.nvmWrites) << what;
-    EXPECT_EQ(a.result.nvmReads, b.result.nvmReads) << what;
-    EXPECT_EQ(bits(a.result.totalEnergyNj), bits(b.result.totalEnergyNj))
-        << what;
-    for (size_t i = 0; i < kNumECats; ++i)
-        EXPECT_EQ(bits(a.result.energy[i]), bits(b.result.energy[i]))
-            << what << " energy " << i;
+    EXPECT_TRUE(sameRun(a.result, b.result)) << what;
     EXPECT_EQ(a.nvm, b.nvm) << what << " NVM image";
     EXPECT_EQ(a.regs, b.regs) << what << " registers";
     EXPECT_EQ(a.pc, b.pc) << what << " pc";
@@ -609,7 +589,7 @@ TEST(SnapshotSim, NvmFootprintFollowsTheProgram)
     EXPECT_LE(nvm.wearChunks(), nvm.store().ownedPages());
 }
 
-TEST(SnapshotSim, CollectingSinkStrideAndCap)
+TEST(SnapshotSim, CollectingSinkStride)
 {
     Program prog = assembleWorkload("hist");
     SystemConfig cfg;
@@ -627,14 +607,20 @@ TEST(SnapshotSim, CollectingSinkStrideAndCap)
     ASSERT_GT(all.pointsSeen, 4u);
     EXPECT_EQ(all.snapshots.size(), all.pointsSeen);
 
-    // Stride thins the capture, the cap bounds it; both still count
-    // every safe point seen.
-    CollectingSnapshotSink strided(2, 3);
+    // Stride 3 keeps safe points 0, 3, 6, ... of the same run and
+    // still counts every safe point seen.
+    CollectingSnapshotSink strided(3);
     opts.snapshots = &strided;
     Simulator sim(prog, ArchKind::Nvmr, cfg, jit, trace, opts);
     ASSERT_TRUE(sim.run().completed);
     EXPECT_EQ(strided.pointsSeen, all.pointsSeen);
-    EXPECT_EQ(strided.snapshots.size(), 3u);
+    ASSERT_EQ(strided.snapshots.size(), (all.pointsSeen + 2) / 3);
+    for (size_t i = 0; i < strided.snapshots.size(); ++i) {
+        EXPECT_EQ(strided.snapshots[i]->totalCycles,
+                  all.snapshots[3 * i]->totalCycles);
+        EXPECT_EQ(strided.snapshots[i]->committedSeq,
+                  all.snapshots[3 * i]->committedSeq);
+    }
 
     // Captured metadata is monotone in time.
     for (size_t i = 1; i < all.snapshots.size(); ++i) {
@@ -666,7 +652,7 @@ TEST(SnapshotSim, CollectingSinkStopsAfterWindowBound)
     constexpr uint64_t kMax = 2;
     ASSERT_GT(windows.size(), kMax + 1);
 
-    CollectingSnapshotSink bounded(1, 0, kMax);
+    CollectingSnapshotSink bounded(1, kMax);
     opts.snapshots = &bounded;
     Simulator sim(prog, ArchKind::Nvmr, cfg, jit, trace, opts);
     ASSERT_TRUE(sim.run().completed);

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "isa/assembler.hh"
 #include "obs/trace.hh"
 #include "power/policy.hh"
+#include "run_identity.hh"
 #include "sim/randprog.hh"
 #include "sim/simulator.hh"
 #include "snapshot/snapshot.hh"
@@ -31,14 +31,6 @@ using namespace nvmr;
 
 namespace
 {
-
-uint64_t
-bits(double d)
-{
-    uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-}
 
 bool
 sameEvent(const TraceEvent &a, const TraceEvent &b)
@@ -128,40 +120,6 @@ harvest(Simulator &sim, const Program &prog, const RunResult &r,
     return fp;
 }
 
-void
-expectSameResult(const RunResult &a, const RunResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.validated, b.validated) << what;
-    EXPECT_EQ(a.validationChecked, b.validationChecked) << what;
-    EXPECT_EQ(a.activeCycles, b.activeCycles) << what;
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    for (size_t i = 0; i < kNumECats; ++i)
-        EXPECT_EQ(bits(a.energy[i]), bits(b.energy[i]))
-            << what << " energy category " << i;
-    EXPECT_EQ(bits(a.totalEnergyNj), bits(b.totalEnergyNj)) << what;
-    EXPECT_EQ(a.backups, b.backups) << what;
-    for (size_t i = 0; i < kNumBackupReasons; ++i)
-        EXPECT_EQ(a.backupsByReason[i], b.backupsByReason[i])
-            << what << " backup reason " << i;
-    EXPECT_EQ(a.violations, b.violations) << what;
-    EXPECT_EQ(a.renames, b.renames) << what;
-    EXPECT_EQ(a.reclaims, b.reclaims) << what;
-    EXPECT_EQ(a.restores, b.restores) << what;
-    EXPECT_EQ(a.powerFailures, b.powerFailures) << what;
-    EXPECT_EQ(a.nvmReads, b.nvmReads) << what;
-    EXPECT_EQ(a.nvmWrites, b.nvmWrites) << what;
-    EXPECT_EQ(a.maxWear, b.maxWear) << what;
-    EXPECT_EQ(a.cacheHits, b.cacheHits) << what;
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses) << what;
-    EXPECT_EQ(a.tornBackups, b.tornBackups) << what;
-    EXPECT_EQ(a.injectedCrashes, b.injectedCrashes) << what;
-    EXPECT_EQ(a.eccCorrected, b.eccCorrected) << what;
-    EXPECT_EQ(a.eccUncorrectable, b.eccUncorrectable) << what;
-}
-
 /** Scratch run: capture every `stride`th safe point and the full
  *  event stream. */
 Fingerprint
@@ -205,7 +163,7 @@ void
 expectForkIdentical(const Fingerprint &scratch, const Fingerprint &fork,
                     size_t events_at_capture, const std::string &what)
 {
-    expectSameResult(scratch.result, fork.result, what);
+    EXPECT_TRUE(sameRun(scratch.result, fork.result)) << what;
     EXPECT_EQ(scratch.finalData, fork.finalData) << what << " image";
     EXPECT_EQ(scratch.nvmImage, fork.nvmImage) << what << " NVM";
     EXPECT_EQ(scratch.regs, fork.regs) << what << " registers";

@@ -23,7 +23,6 @@
  *     nvmr_crashtest -w hist,qsort -a nvmr --max-backups 10
  *     nvmr_crashtest --stride 4 --jobs 8   # --threads is an alias
  *     nvmr_crashtest --verify-fork 5       # cross-check 5 forks/combo
- *     nvmr_crashtest --no-fork             # legacy from-scratch runs
  *     nvmr_crashtest --journal c.jrn       # checkpoint; --resume
  *
  * The whole campaign is two stages of the campaign layer
@@ -77,7 +76,6 @@ struct Options
     uint64_t seed = 1;
     uint64_t snapStride = 4;   ///< snapshot every Nth safe point
     uint64_t verifyFork = 0;   ///< cross-check N forked runs / combo
-    bool noFork = false;       ///< from-scratch runs (A/B, benches)
     bool verbose = false;
     std::string statsJsonPath;
 };
@@ -107,8 +105,6 @@ usage()
         "  --verify-fork N       re-run N forked points per combo "
         "from\n"
         "                        scratch and require bit-identity\n"
-        "  --no-fork             explore from scratch (A/B "
-        "comparison)\n"
         "  --jobs N              worker threads (default: NVMR_JOBS "
         "or all cores;\n"
         "                        --threads is an alias)\n"
@@ -179,18 +175,18 @@ struct CrashPlatform
 };
 
 /** The census run: fault layer on, nothing armed. Records the
- *  persist-boundary window of every backup and, given a sink,
- *  captures the fork snapshots (a sink never charges energy or
- *  cycles, so the census is unchanged by it). */
+ *  persist-boundary window of every backup and captures the fork
+ *  snapshots into `sink` (a sink never charges energy or cycles, so
+ *  the census is unchanged by it). */
 CensusResult
 runCensus(const CrashPlatform &plat, const Program &prog, ArchKind arch,
-          const GoldenResult &golden, SnapshotSink *sink,
+          const GoldenResult &golden, SnapshotSink &sink,
           uint64_t budget_cycles, const std::string &tag)
 {
     RunOptions opts;
     opts.validate = false;
     opts.faults.enabled = true;
-    opts.snapshots = sink;
+    opts.snapshots = &sink;
     if (budget_cycles)
         opts.maxCycles = budget_cycles;
     auto policy = makePolicy(plat.policy);
@@ -267,51 +263,27 @@ crashPoints(const CensusResult &census, ArchKind arch,
 CollectingSnapshotSink
 forkSink(const Options &opt)
 {
-    return CollectingSnapshotSink(opt.snapStride, 0, opt.maxBackups);
+    return CollectingSnapshotSink(opt.snapStride, opt.maxBackups);
 }
 
-/** The latest snapshot strictly before the crash point (so the
- *  armed crash still fires in the fork); null -> run from scratch. */
+/** The fault layer of one crash run: on, with the point armed. */
+FaultConfig
+crashFaults(const CrashPoint &cp)
+{
+    FaultConfig faults;
+    faults.enabled = true;
+    faults.crashAtPersist = cp.persist;
+    faults.crashAtCycle = cp.cycle;
+    return faults;
+}
+
+/** The snapshot a run armed with `faults` forks from (forkSource);
+ *  null -> run from scratch. */
 const MachineSnapshot *
-nearestSnapshot(const std::vector<SnapshotPtr> &snaps,
-                const CrashPoint &cp)
+forkFrom(const std::vector<SnapshotPtr> &snaps, const FaultConfig &faults)
 {
-    const MachineSnapshot *best = nullptr;
-    for (const SnapshotPtr &s : snaps) {
-        bool usable = cp.persist ? s->persistCount < cp.persist
-                                 : s->totalCycles < cp.cycle;
-        if (!usable)
-            break; // snapshots are in capture order: all later ones
-                   // are past the point too
-        best = s.get();
-    }
-    return best;
-}
-
-/** Bitwise comparison of two runs of the same crash point (the
- *  fork-correctness contract: every field, energy doubles
- *  included). */
-bool
-sameRun(const RunResult &a, const RunResult &b)
-{
-    return a.completed == b.completed &&
-           a.activeCycles == b.activeCycles &&
-           a.totalCycles == b.totalCycles &&
-           a.instructions == b.instructions &&
-           a.energy == b.energy &&
-           a.totalEnergyNj == b.totalEnergyNj &&
-           a.backups == b.backups &&
-           a.backupsByReason == b.backupsByReason &&
-           a.violations == b.violations && a.renames == b.renames &&
-           a.reclaims == b.reclaims && a.restores == b.restores &&
-           a.powerFailures == b.powerFailures &&
-           a.nvmReads == b.nvmReads && a.nvmWrites == b.nvmWrites &&
-           a.maxWear == b.maxWear && a.cacheHits == b.cacheHits &&
-           a.cacheMisses == b.cacheMisses &&
-           a.tornBackups == b.tornBackups &&
-           a.injectedCrashes == b.injectedCrashes &&
-           a.eccCorrected == b.eccCorrected &&
-           a.eccUncorrectable == b.eccUncorrectable;
+    ptrdiff_t i = forkSource(snaps, faults);
+    return i < 0 ? nullptr : snaps[i].get();
 }
 
 /** A census cell's journal payload: the census plus the capture
@@ -381,13 +353,10 @@ verifyForks(campaign::Campaign &cam, const CrashPlatform &plat,
                          !cam.interrupted();
          ++idx) {
         const CrashPoint &cp = cb.points[idx];
-        const MachineSnapshot *from = nearestSnapshot(cb.snaps, cp);
+        FaultConfig faults = crashFaults(cp);
+        const MachineSnapshot *from = forkFrom(cb.snaps, faults);
         if (!from)
             continue; // point precedes the first snapshot
-        FaultConfig faults;
-        faults.enabled = true;
-        faults.crashAtPersist = cp.persist;
-        faults.crashAtCycle = cp.cycle;
         bool m_fork = false, m_scratch = false;
         CowStore::PageTable img_fork, img_scratch;
         RunResult r_fork = runOnce(plat, prog, cb.arch, faults, golden,
@@ -396,7 +365,9 @@ verifyForks(campaign::Campaign &cam, const CrashPlatform &plat,
                                       golden, &m_scratch, 0, nullptr,
                                       &img_scratch);
         ++report.forkVerified;
-        if (sameRun(r_fork, r_scratch) && m_fork == m_scratch &&
+        if (campaign::encodeRunResult(r_fork) ==
+                campaign::encodeRunResult(r_scratch) &&
+            m_fork == m_scratch &&
             samePageContents(img_fork, img_scratch))
             continue;
         ++report.forkDivergent;
@@ -501,8 +472,6 @@ main(int argc, char **argv)
                 1, cli::parseCount(a.c_str(), need(i)));
         } else if (a == "--verify-fork") {
             opt.verifyFork = cli::parseCount(a.c_str(), need(i));
-        } else if (a == "--no-fork") {
-            opt.noFork = true;
         } else if (a == "--jobs" || a == "--threads") {
             // --threads predates the engine; 0 keeps the old
             // "use all cores" meaning (the engine's default).
@@ -536,8 +505,8 @@ main(int argc, char **argv)
     // The stage names are part of the spec, so a journal keyed by
     // another stage layout (one census and one points stage per
     // combination) fails the config-hash check on --resume instead of
-    // silently re-running everything. The snapshot stride (0 with
-    // --no-fork) shapes the journaled capture summary.
+    // silently re-running everything. The snapshot stride shapes the
+    // journaled capture summary.
     std::string config_spec = "crashtest|stages=census,points|workloads=";
     for (size_t i = 0; i < opt.workloads.size(); ++i) {
         if (i)
@@ -555,8 +524,7 @@ main(int argc, char **argv)
                    "|cycle_samples=" +
                    std::to_string(opt.cycleSamples) +
                    "|seed=" + std::to_string(opt.seed) +
-                   "|snap_stride=" +
-                   std::to_string(opt.noFork ? 0 : opt.snapStride);
+                   "|snap_stride=" + std::to_string(opt.snapStride);
     cli::appendWatchdogSpec(config_spec, copts);
 
     obs::Telemetry telemetry("nvmr_crashtest", topts,
@@ -609,21 +577,20 @@ main(int argc, char **argv)
             CensusCell cell;
             cell.census = runCensus(
                 plat, progs[cb.workload], cb.arch,
-                *goldens[cb.workload], opt.noFork ? nullptr : &sink,
-                ctx.budgetCycles, cb.tag);
+                *goldens[cb.workload], sink, ctx.budgetCycles, cb.tag);
             cell.snapshots = sink.snapshots.size();
             if (cell.census.completed)
                 for (const CrashPoint &cp :
                      crashPoints(cell.census, cb.arch, opt))
                     cell.forked +=
-                        nearestSnapshot(sink.snapshots, cp) != nullptr;
+                        forkSource(sink.snapshots, crashFaults(cp)) >= 0;
             cb.snaps = std::move(sink.snapshots);
             return encodeCensusCell(cell);
         });
 
     // Lay every combination's crash points out in one index space.
     std::vector<size_t> owner; // points-stage index -> combination
-    bool want_verify = opt.verifyFork > 0 && !opt.noFork;
+    bool want_verify = opt.verifyFork > 0;
     std::vector<size_t> recapture;
     for (size_t c = 0; c < combos.size(); ++c) {
         Combo &cb = combos[c];
@@ -647,7 +614,7 @@ main(int argc, char **argv)
         // A census served from the journal captured nothing in this
         // process: re-derive its snapshots (below) with the same
         // bounded sink.
-        if (!opt.noFork && census_cells[c].fromJournal)
+        if (census_cells[c].fromJournal)
             recapture.push_back(c);
     }
     std::vector<char> recaptured(recapture.size(), 0);
@@ -655,7 +622,7 @@ main(int argc, char **argv)
         Combo &cb = combos[recapture[k]];
         CollectingSnapshotSink sink = forkSink(opt);
         recaptured[k] = runCensus(plat, progs[cb.workload], cb.arch,
-                                  *goldens[cb.workload], &sink, 0,
+                                  *goldens[cb.workload], sink, 0,
                                   cb.tag)
                             .completed;
         cb.snaps = std::move(sink.snapshots);
@@ -676,16 +643,12 @@ main(int argc, char **argv)
             -> std::optional<std::string> {
             const Combo &cb = combos[owner[ctx.index]];
             uint64_t local = ctx.index - cb.firstPoint;
-            const CrashPoint &cp = cb.points[local];
-            FaultConfig faults;
-            faults.enabled = true;
-            faults.crashAtPersist = cp.persist;
-            faults.crashAtCycle = cp.cycle;
+            FaultConfig faults = crashFaults(cb.points[local]);
             bool matched = false;
             RunResult r = runOnce(plat, progs[cb.workload], cb.arch,
                                   faults, *goldens[cb.workload],
                                   &matched, ctx.budgetCycles,
-                                  nearestSnapshot(cb.snaps, cp));
+                                  forkFrom(cb.snaps, faults));
             if (ctx.budgetCycles && !r.completed)
                 throw campaign::CellTimeout{
                     cb.tag + " point " + std::to_string(local) +

@@ -28,6 +28,7 @@
  * 128+signal when interrupted -- see docs/operations.md).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -370,10 +371,13 @@ main(int argc, char **argv)
         } else if (cli::handleCampaignArg(argc, argv, i, copts)) {
         } else if (cli::handleTelemetryArg(argc, argv, i, topts)) {
         } else if (std::strcmp(argv[i], "--schedules") == 0) {
-            per_arch = static_cast<uint32_t>(
-                std::strtoul(need("--schedules"), nullptr, 10));
+            const char *v = need("--schedules");
+            uint64_t n = cli::parseCount("--schedules", v);
+            fatal_if(n == 0 || n > UINT32_MAX, "bad --schedules value '",
+                     v, "' (need 1 to ", UINT32_MAX, ")");
+            per_arch = static_cast<uint32_t>(n);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            seed = std::strtoull(need("--seed"), nullptr, 10);
+            seed = cli::parseCount("--seed", need("--seed"));
         } else if (std::strcmp(argv[i], "--arch") == 0) {
             only_arch = need("--arch");
         } else if (std::strcmp(argv[i], "--stats-json") == 0) {

@@ -16,6 +16,7 @@
  * and therefore the identical trained model.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,7 +76,12 @@ main(int argc, char **argv)
             while (std::getline(ss, item, ','))
                 workloads.push_back(item);
         } else if (a == "--cap") {
-            cap = std::strtod(need(i), nullptr);
+            const char *v = need(i);
+            char *end = nullptr;
+            cap = std::strtod(v, &end);
+            fatal_if(end == v || *end || !std::isfinite(cap) || cap <= 0,
+                     "bad --cap value '", v,
+                     "' (need a finite number of farads above 0)");
         } else if (a == "--stats-json") {
             stats_json_path = need(i);
         } else if (a[0] == '-') {
