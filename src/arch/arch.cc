@@ -360,7 +360,7 @@ IntermittentArch::performRestore()
 }
 
 void
-IntermittentArch::saveState(StateWriter &w) const
+IntermittentArch::saveState(ByteWriter &w) const
 {
     panic_if(txnOpen, "snapshot during an open backup transaction");
     cache.saveState(w);
@@ -389,7 +389,7 @@ IntermittentArch::saveState(StateWriter &w) const
 }
 
 void
-IntermittentArch::restoreState(StateReader &r)
+IntermittentArch::restoreState(ByteReader &r)
 {
     cache.restoreState(r);
     snapSlots = r.pod<std::array<BackupSlot, 2>>();
@@ -397,8 +397,7 @@ IntermittentArch::restoreState(StateReader &r)
     committedSeq = r.u64();
     snapStaged = r.boolean();
     redoJournal.clear();
-    uint64_t journal_entries = r.u64();
-    r.checkCount(journal_entries, sizeof(Addr) + sizeof(Word));
+    uint64_t journal_entries = r.count(r.u64(), sizeof(Addr) + sizeof(Word));
     redoJournal.reserve(journal_entries);
     for (uint64_t i = 0; i < journal_entries; ++i) {
         Addr a = r.pod<Addr>();
@@ -543,17 +542,19 @@ DominanceArch::onPowerFail()
 }
 
 void
-DominanceArch::saveState(StateWriter &w) const
+DominanceArch::saveState(ByteWriter &w) const
 {
     IntermittentArch::saveState(w);
     w.vec(gbf.rawWords());
 }
 
 void
-DominanceArch::restoreState(StateReader &r)
+DominanceArch::restoreState(ByteReader &r)
 {
     IntermittentArch::restoreState(r);
-    gbf.setRawWords(r.vec<uint64_t>());
+    std::vector<uint64_t> words = r.vec<uint64_t>();
+    if (r.ok())
+        gbf.setRawWords(words);
 }
 
 } // namespace nvmr

@@ -206,11 +206,11 @@ class IntermittentArch : public DataPort
      * (instruction boundaries outside backups), so no transaction is
      * open. Subclasses extend by calling the base first.
      */
-    virtual void saveState(StateWriter &w) const;
+    virtual void saveState(ByteWriter &w) const;
 
     /** Restore state captured by saveState() onto a freshly
      *  initialize()d instance of the same configuration. */
-    virtual void restoreState(StateReader &r);
+    virtual void restoreState(ByteReader &r);
 
     // ------------------------------------------------------------------
     // Validation / inspection (no energy accounting)
@@ -418,8 +418,8 @@ class DominanceArch : public IntermittentArch
 
     void onPowerFail() override;
 
-    void saveState(StateWriter &w) const override;
-    void restoreState(StateReader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void restoreState(ByteReader &r) override;
 
   protected:
     BloomFilter gbf;

@@ -60,7 +60,7 @@ class ClankOriginalArch : public IntermittentArch
     }
 
     void
-    saveState(StateWriter &w) const override
+    saveState(ByteWriter &w) const override
     {
         IntermittentArch::saveState(w);
         w.u64(readFirst.size());
@@ -72,15 +72,15 @@ class ClankOriginalArch : public IntermittentArch
     }
 
     void
-    restoreState(StateReader &r) override
+    restoreState(ByteReader &r) override
     {
         IntermittentArch::restoreState(r);
         readFirst.clear();
         writeFirst.clear();
-        uint64_t nr = r.u64();
+        uint64_t nr = r.count(r.u64(), sizeof(Addr));
         for (uint64_t i = 0; i < nr; ++i)
             readFirst.insert(r.pod<Addr>());
-        uint64_t nw = r.u64();
+        uint64_t nw = r.count(r.u64(), sizeof(Addr));
         for (uint64_t i = 0; i < nw; ++i)
             writeFirst.insert(r.pod<Addr>());
     }

@@ -287,7 +287,7 @@ HoopArch::inspectWord(Addr addr) const
 }
 
 void
-HoopArch::saveState(StateWriter &w) const
+HoopArch::saveState(ByteWriter &w) const
 {
     IntermittentArch::saveState(w);
     // Snapshots happen only at instruction boundaries outside backup
@@ -315,28 +315,25 @@ HoopArch::saveState(StateWriter &w) const
 }
 
 void
-HoopArch::restoreState(StateReader &r)
+HoopArch::restoreState(ByteReader &r)
 {
     IntermittentArch::restoreState(r);
     oopBuffer.clear();
     bufNewest.clear();
     committedLog.clear();
-    uint64_t nbuf = r.u64();
-    r.checkCount(nbuf, sizeof(Addr) + sizeof(Word));
+    uint64_t nbuf = r.count(r.u64(), sizeof(Addr) + sizeof(Word));
     oopBuffer.reserve(nbuf);
     for (uint64_t i = 0; i < nbuf; ++i) {
         Addr addr = r.pod<Addr>();
         Word val = r.pod<Word>();
         oopBuffer.emplace_back(addr, val);
     }
-    uint64_t nnewest = r.u64();
-    r.checkCount(nnewest, sizeof(Addr) + sizeof(Word));
+    uint64_t nnewest = r.count(r.u64(), sizeof(Addr) + sizeof(Word));
     for (uint64_t i = 0; i < nnewest; ++i) {
         Addr addr = r.pod<Addr>();
         bufNewest[addr] = r.pod<Word>();
     }
-    uint64_t nlog = r.u64();
-    r.checkCount(nlog, sizeof(Addr) + sizeof(Word));
+    uint64_t nlog = r.count(r.u64(), sizeof(Addr) + sizeof(Word));
     for (uint64_t i = 0; i < nlog; ++i) {
         Addr addr = r.pod<Addr>();
         committedLog[addr] = r.pod<Word>();

@@ -49,8 +49,8 @@ class HoopArch : public IntermittentArch
     /** Garbage collections performed (restore + region-full). */
     uint64_t gcCount() const { return gcs; }
 
-    void saveState(StateWriter &w) const override;
-    void restoreState(StateReader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void restoreState(ByteReader &r) override;
 
   protected:
     void fetchBlock(Addr block_addr, std::span<Word> out) override;

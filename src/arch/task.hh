@@ -33,14 +33,14 @@ class TaskArch : public ClankArch
     uint64_t taskBoundaries() const { return boundaries; }
 
     void
-    saveState(StateWriter &w) const override
+    saveState(ByteWriter &w) const override
     {
         ClankArch::saveState(w);
         w.u64(boundaries);
     }
 
     void
-    restoreState(StateReader &r) override
+    restoreState(ByteReader &r) override
     {
         ClankArch::restoreState(r);
         boundaries = r.u64();

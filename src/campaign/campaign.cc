@@ -2,8 +2,8 @@
 
 #include <memory>
 
-#include "campaign/blob.hh"
 #include "campaign/sig.hh"
+#include "common/bytes.hh"
 #include "common/exitcodes.hh"
 #include "common/log.hh"
 #include "obs/json.hh"
@@ -16,7 +16,7 @@ namespace nvmr::campaign
 std::string
 quarantinePayload(unsigned attempts, const std::string &reason)
 {
-    BlobWriter w;
+    ByteWriter w;
     w.u32(attempts);
     w.str(reason);
     return w.take();
@@ -26,10 +26,10 @@ bool
 parseQuarantinePayload(const std::string &payload, unsigned &attempts,
                        std::string &reason)
 {
-    BlobReader r(payload);
+    ByteReader r(payload);
     attempts = r.u32();
     reason = r.str();
-    return r.ok();
+    return r.ok() && r.atEnd();
 }
 
 Campaign::Campaign(std::string tool_, const std::string &config_spec,

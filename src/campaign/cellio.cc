@@ -1,6 +1,6 @@
 #include "campaign/cellio.hh"
 
-#include "campaign/blob.hh"
+#include "common/bytes.hh"
 
 namespace nvmr::campaign
 {
@@ -9,15 +9,15 @@ namespace
 {
 
 void
-putRun(BlobWriter &w, const RunResult &r)
+putRun(ByteWriter &w, const RunResult &r)
 {
     w.str(r.program);
     w.str(r.arch);
     w.str(r.policy);
     w.str(r.trace);
-    w.b(r.completed);
-    w.b(r.validated);
-    w.b(r.validationChecked);
+    w.boolean(r.completed);
+    w.boolean(r.validated);
+    w.boolean(r.validationChecked);
     w.u64(r.activeCycles);
     w.u64(r.totalCycles);
     w.u64(r.instructions);
@@ -46,27 +46,25 @@ putRun(BlobWriter &w, const RunResult &r)
 }
 
 bool
-getRun(BlobReader &r, RunResult &out)
+getRun(ByteReader &r, RunResult &out)
 {
     out.program = r.str();
     out.arch = r.str();
     out.policy = r.str();
     out.trace = r.str();
-    out.completed = r.b();
-    out.validated = r.b();
-    out.validationChecked = r.b();
+    out.completed = r.boolean();
+    out.validated = r.boolean();
+    out.validationChecked = r.boolean();
     out.activeCycles = r.u64();
     out.totalCycles = r.u64();
     out.instructions = r.u64();
-    uint32_t ne = r.u32();
-    if (ne != out.energy.size())
+    if (r.u32() != out.energy.size())
         return false;
     for (auto &e : out.energy)
         e = r.f64();
     out.totalEnergyNj = r.f64();
     out.backups = r.u64();
-    uint32_t nb = r.u32();
-    if (nb != out.backupsByReason.size())
+    if (r.u32() != out.backupsByReason.size())
         return false;
     for (auto &b : out.backupsByReason)
         b = r.u64();
@@ -87,12 +85,25 @@ getRun(BlobReader &r, RunResult &out)
     return r.ok();
 }
 
+/** The end of a decoder: `decoded` moves to `out` when its fields
+ *  were `good`, nothing failed and every byte was read; otherwise
+ *  `out` is left empty, vectors at capacity 0, so nothing a corrupt
+ *  count sized outlives the call. */
+template <typename T>
+bool
+settle(const ByteReader &r, T &decoded, T &out, bool good = true)
+{
+    good = good && r.ok() && r.atEnd();
+    out = good ? std::move(decoded) : T{};
+    return good;
+}
+
 } // namespace
 
 std::string
 encodeRunResult(const RunResult &r)
 {
-    BlobWriter w;
+    ByteWriter w;
     putRun(w, r);
     return w.take();
 }
@@ -100,14 +111,14 @@ encodeRunResult(const RunResult &r)
 bool
 decodeRunResult(const std::string &bytes, RunResult &r)
 {
-    BlobReader br(bytes);
+    ByteReader br(bytes);
     return getRun(br, r) && br.atEnd();
 }
 
 std::string
 encodeRunResults(const std::vector<RunResult> &runs)
 {
-    BlobWriter w;
+    ByteWriter w;
     w.u32(static_cast<uint32_t>(runs.size()));
     for (const RunResult &r : runs)
         putRun(w, r);
@@ -118,24 +129,21 @@ bool
 decodeRunResults(const std::string &bytes,
                  std::vector<RunResult> &runs)
 {
-    BlobReader r(bytes);
-    uint32_t n = r.u32();
-    // Element counts larger than the payload itself are corruption;
-    // refuse before resize() turns them into an allocation.
-    if (n > bytes.size())
-        return false;
-    runs.clear();
-    runs.resize(n);
-    for (uint32_t i = 0; i < n; ++i)
-        if (!getRun(r, runs[i]))
-            return false;
-    return r.ok() && r.atEnd();
+    // The smallest encoding of one run (empty strings) is the element
+    // size its count is checked against.
+    static const size_t kMinRunBytes = encodeRunResult({}).size();
+    ByteReader r(bytes);
+    std::vector<RunResult> out(r.count(r.u32(), kMinRunBytes));
+    bool good = true;
+    for (RunResult &run : out)
+        good = good && getRun(r, run);
+    return settle(r, out, runs, good);
 }
 
 std::string
 encodeSamples(const std::vector<SpendthriftSample> &s)
 {
-    BlobWriter w;
+    ByteWriter w;
     w.u32(static_cast<uint32_t>(s.size()));
     for (const SpendthriftSample &x : s) {
         w.f32(x.harvestMw);
@@ -149,25 +157,21 @@ bool
 decodeSamples(const std::string &bytes,
               std::vector<SpendthriftSample> &s)
 {
-    BlobReader r(bytes);
-    uint32_t n = r.u32();
-    if (n > bytes.size())
-        return false;
-    s.clear();
-    s.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        s[i].harvestMw = r.f32();
-        s[i].capVolts = r.f32();
-        s[i].label = r.f32();
+    ByteReader r(bytes);
+    std::vector<SpendthriftSample> out(r.count(r.u32(), 3 * 4));
+    for (SpendthriftSample &x : out) {
+        x.harvestMw = r.f32();
+        x.capVolts = r.f32();
+        x.label = r.f32();
     }
-    return r.ok() && r.atEnd();
+    return settle(r, out, s);
 }
 
 std::string
 encodeCensus(const CensusResult &c)
 {
-    BlobWriter w;
-    w.b(c.completed);
+    ByteWriter w;
+    w.boolean(c.completed);
     w.u64(c.totalCycles);
     w.u64(c.persistPoints);
     w.u32(static_cast<uint32_t>(c.windows.size()));
@@ -185,28 +189,21 @@ encodeCensus(const CensusResult &c)
 bool
 decodeCensus(const std::string &bytes, CensusResult &c)
 {
-    BlobReader r(bytes);
-    c.completed = r.b();
-    c.totalCycles = r.u64();
-    c.persistPoints = r.u64();
-    uint32_t nw = r.u32();
-    if (nw > bytes.size())
-        return false;
-    c.windows.clear();
-    c.windows.resize(nw);
-    for (uint32_t i = 0; i < nw; ++i) {
-        c.windows[i].firstPersist = r.u64();
-        c.windows[i].lastPersist = r.u64();
-        c.windows[i].commitPersist = r.u64();
+    ByteReader r(bytes);
+    CensusResult out;
+    out.completed = r.boolean();
+    out.totalCycles = r.u64();
+    out.persistPoints = r.u64();
+    out.windows.resize(r.count(r.u32(), 3 * 8));
+    for (FaultInjector::BackupWindow &win : out.windows) {
+        win.firstPersist = r.u64();
+        win.lastPersist = r.u64();
+        win.commitPersist = r.u64();
     }
-    uint32_t nc = r.u32();
-    if (nc > bytes.size())
-        return false;
-    c.commitCycles.clear();
-    c.commitCycles.resize(nc);
-    for (uint32_t i = 0; i < nc; ++i)
-        c.commitCycles[i] = r.u64();
-    return r.ok() && r.atEnd();
+    out.commitCycles.resize(r.count(r.u32(), 8));
+    for (uint64_t &cc : out.commitCycles)
+        cc = r.u64();
+    return settle(r, out, c);
 }
 
 } // namespace nvmr::campaign

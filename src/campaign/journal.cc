@@ -3,12 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
+#include "common/bytes.hh"
 #include "common/log.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
@@ -19,74 +20,35 @@ namespace nvmr::campaign
 namespace
 {
 
-/** Frame header: u32 payload_len | u8 type | u64 key. */
-constexpr size_t kFrameHeaderBytes = 4 + 1 + 8;
-constexpr size_t kFrameTrailerBytes = 4; // crc32
+/** A frame is u32 payload_len | u8 type | u64 key | payload | u32
+ *  crc32 of type + key + payload. */
 constexpr size_t kMagicBytes = 8;
 
 /** Cap a single record at 256 MiB: larger lengths in a frame header
  *  are certainly corruption, not data. */
 constexpr uint32_t kMaxPayloadBytes = 256u << 20;
 
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-uint32_t
-getU32(const uint8_t *p)
-{
-    return static_cast<uint32_t>(p[0]) |
-           static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t
-getU64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = v << 8 | p[i];
-    return v;
-}
-
-const uint32_t *
-crcTable()
-{
-    static uint32_t table[256];
-    static bool built = false;
-    if (!built) {
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
-        }
-        built = true;
+/** The reflected CRC-32 (IEEE 802.3) lookup table. */
+constexpr std::array<uint32_t, 256> kCrcTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
     }
     return table;
-}
+}();
 
 } // namespace
 
 uint32_t
 crc32(const void *data, size_t n, uint32_t seed)
 {
-    const uint32_t *table = crcTable();
     const uint8_t *p = static_cast<const uint8_t *>(data);
     uint32_t c = seed ^ 0xFFFFFFFFu;
     for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+        c = kCrcTable[(c ^ p[i]) & 0xff] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -120,22 +82,21 @@ cellKey(const std::string &stage, uint64_t index)
 std::string
 headerPayload(uint64_t config_hash, const std::string &tool)
 {
-    std::string out;
-    putU64(out, config_hash);
-    out += tool;
-    return out;
+    ByteWriter w;
+    w.u64(config_hash);
+    w.bytes(tool.data(), tool.size());
+    return w.take();
 }
 
 bool
 parseHeaderPayload(const std::string &payload, uint64_t &config_hash,
                    std::string &tool)
 {
-    if (payload.size() < 8)
-        return false;
-    config_hash =
-        getU64(reinterpret_cast<const uint8_t *>(payload.data()));
-    tool = payload.substr(8);
-    return true;
+    ByteReader r(payload);
+    config_hash = r.u64();
+    tool.resize(r.remaining());
+    r.bytes(tool.data(), tool.size());
+    return r.ok();
 }
 
 // ----------------------------------------------------------------------
@@ -171,34 +132,21 @@ loadJournal(const std::string &path)
         return out;
     }
 
-    const uint8_t *data =
-        reinterpret_cast<const uint8_t *>(bytes.data());
-    size_t off = kMagicBytes;
+    ByteReader r(bytes.data() + kMagicBytes,
+                 bytes.size() - kMagicBytes);
     bool sawHeader = false;
-    while (off < bytes.size()) {
-        // An incomplete frame (torn final write) ends the journal.
-        if (bytes.size() - off <
-            kFrameHeaderBytes + kFrameTrailerBytes) {
-            out.truncatedTail = true;
-            break;
-        }
-        uint32_t len = getU32(data + off);
-        uint8_t type = data[off + 4];
-        uint64_t key = getU64(data + off + 5);
-        if (len > kMaxPayloadBytes ||
-            bytes.size() - off - kFrameHeaderBytes -
-                    kFrameTrailerBytes < len) {
-            out.truncatedTail = true;
-            break;
-        }
-        const uint8_t *payload = data + off + kFrameHeaderBytes;
-        uint32_t stored = getU32(payload + len);
-        // CRC covers type + key + payload (offset 4 .. end of payload).
-        uint32_t computed =
-            crc32(data + off + 4, 1 + 8 + len);
-        if (stored != computed) {
-            // A corrupt record ends the trustworthy prefix: the
-            // record and everything after it are rejected.
+    while (!r.atEnd()) {
+        uint32_t len = r.u32();
+        uint8_t type = r.u8();
+        uint64_t key = r.u64();
+        const uint8_t *payload =
+            len <= kMaxPayloadBytes ? r.consume(len) : nullptr;
+        uint32_t stored = r.u32();
+        // An incomplete frame (torn final write) ends the journal, and
+        // so does a corrupt one: the record and everything after it
+        // are rejected. The CRC covers type + key + payload.
+        if (!r.ok() || !payload ||
+            stored != crc32(payload - 1 - 8, 1 + 8 + len)) {
             out.truncatedTail = true;
             break;
         }
@@ -218,8 +166,7 @@ loadJournal(const std::string &path)
             out.quarantined[key] = std::move(body);
         }
         // Unknown record types are skipped (forward compatibility).
-        off += kFrameHeaderBytes + len + kFrameTrailerBytes;
-        out.validBytes = off;
+        out.validBytes = bytes.size() - r.remaining();
     }
     if (!sawHeader) {
         out.error = path + ": no intact campaign header record";
@@ -436,15 +383,13 @@ JournalWriter::appendLocked(RecordType type, uint64_t key,
     if (fd < 0 || degradedFlag)
         return false;
 
-    std::string frame;
-    frame.reserve(kFrameHeaderBytes + payload.size() +
-                  kFrameTrailerBytes);
-    putU32(frame, static_cast<uint32_t>(payload.size()));
-    frame.push_back(static_cast<char>(type));
-    putU64(frame, key);
-    frame += payload;
-    uint32_t crc = crc32(frame.data() + 4, frame.size() - 4);
-    putU32(frame, crc);
+    ByteWriter w;
+    w.u32(static_cast<uint32_t>(payload.size()));
+    w.u8(static_cast<uint8_t>(type));
+    w.u64(key);
+    w.bytes(payload.data(), payload.size());
+    w.u32(crc32(w.data().data() + 4, w.size() - 4));
+    const std::string &frame = w.data();
 
     off_t before = ::lseek(fd, 0, SEEK_CUR);
     if (!writeAll(frame.data(), frame.size())) {

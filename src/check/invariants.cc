@@ -357,7 +357,7 @@ namespace
 {
 
 void
-writeAddrSet(StateWriter &w, const std::unordered_set<Addr> &s)
+writeAddrSet(ByteWriter &w, const std::unordered_set<Addr> &s)
 {
     w.u64(s.size());
     for (Addr a : s)
@@ -365,17 +365,16 @@ writeAddrSet(StateWriter &w, const std::unordered_set<Addr> &s)
 }
 
 void
-readAddrSet(StateReader &r, std::unordered_set<Addr> &s)
+readAddrSet(ByteReader &r, std::unordered_set<Addr> &s)
 {
     s.clear();
-    uint64_t n = r.u64();
-    r.checkCount(n, sizeof(Addr));
+    uint64_t n = r.count(r.u64(), sizeof(Addr));
     for (uint64_t i = 0; i < n; ++i)
         s.insert(r.pod<Addr>());
 }
 
 void
-writeAddrMap(StateWriter &w, const std::unordered_map<Addr, Addr> &m)
+writeAddrMap(ByteWriter &w, const std::unordered_map<Addr, Addr> &m)
 {
     w.u64(m.size());
     for (const auto &[k, v] : m) {
@@ -385,11 +384,10 @@ writeAddrMap(StateWriter &w, const std::unordered_map<Addr, Addr> &m)
 }
 
 void
-readAddrMap(StateReader &r, std::unordered_map<Addr, Addr> &m)
+readAddrMap(ByteReader &r, std::unordered_map<Addr, Addr> &m)
 {
     m.clear();
-    uint64_t n = r.u64();
-    r.checkCount(n, 2 * sizeof(Addr));
+    uint64_t n = r.count(r.u64(), 2 * sizeof(Addr));
     for (uint64_t i = 0; i < n; ++i) {
         Addr k = r.pod<Addr>();
         m[k] = r.pod<Addr>();
@@ -399,7 +397,7 @@ readAddrMap(StateReader &r, std::unordered_map<Addr, Addr> &m)
 } // namespace
 
 void
-InvariantSink::saveState(StateWriter &w) const
+InvariantSink::saveState(ByteWriter &w) const
 {
     panic_if(total != 0,
              "cannot snapshot a violating invariant stream");
@@ -414,7 +412,7 @@ InvariantSink::saveState(StateWriter &w) const
 }
 
 void
-InvariantSink::restoreState(StateReader &r)
+InvariantSink::restoreState(ByteReader &r)
 {
     epoch = static_cast<Epoch>(r.u8());
     lastCommitted = r.u64();

@@ -33,10 +33,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/types.hh"
 #include "obs/trace.hh"
 #include "sim/config.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -110,8 +110,8 @@ class InvariantSink : public TraceSink
      * was. Only legal while the stream is clean -- a violating prefix
      * must be re-run from scratch to reproduce its report.
      */
-    void saveState(StateWriter &w) const;
-    void restoreState(StateReader &r);
+    void saveState(ByteWriter &w) const;
+    void restoreState(ByteReader &r);
 
   private:
     /** Which phase of the power lifecycle the stream is in. */

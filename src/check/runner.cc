@@ -48,7 +48,7 @@ class CheckRefSink : public SnapshotSink
             return;
         out.snapshots.push_back(
             std::make_shared<MachineSnapshot>(sim.captureSnapshot()));
-        StateWriter w;
+        ByteWriter w;
         inv->saveState(w);
         out.invStates.push_back(w.take());
     }
@@ -181,8 +181,9 @@ runChecked(const CheckCase &c, const OracleResult *oracle,
     InvariantSink inv(sim.archRef(), plat.cfg);
     sim.attachTrace(&inv);
     if (fork >= 0) {
-        StateReader r(ref->invStates[fork]);
+        ByteReader r(ref->invStates[fork]);
         inv.restoreState(r);
+        finishRestore(r);
     }
 
     CheckOutcome out;

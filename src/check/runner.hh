@@ -78,7 +78,7 @@ struct CheckOutcome
 struct CheckReference
 {
     std::vector<SnapshotPtr> snapshots;
-    std::vector<std::vector<uint8_t>> invStates; ///< parallel
+    std::vector<std::string> invStates; ///< parallel
     bool completed = false; ///< reference ran to completion
 };
 

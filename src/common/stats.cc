@@ -45,15 +45,6 @@ StatGroup::findHistogram(const std::string &stat_name) const
     return static_cast<const Histogram *>(s);
 }
 
-const Distribution *
-StatGroup::findDistribution(const std::string &stat_name) const
-{
-    const StatBase *s = findStat(stat_name);
-    if (!s || s->kind() != StatKind::Distribution)
-        return nullptr;
-    return static_cast<const Distribution *>(s);
-}
-
 double
 StatGroup::value(const std::string &stat_name) const
 {

@@ -2,10 +2,9 @@
  * @file
  * Lightweight named statistics. Every architectural component
  * registers its stats into a StatGroup; experiment harnesses and the
- * run-manifest writer read them out by name. Three stat shapes are
- * supported: Scalar (a counter), Histogram (log2-bucketed samples,
- * for long-tailed quantities like backup intervals) and Distribution
- * (moment tracking: mean / stddev / min / max).
+ * run-manifest writer read them out by name. Two stat shapes are
+ * supported: Scalar (a counter) and Histogram (log2-bucketed samples,
+ * for long-tailed quantities like backup intervals).
  */
 
 #ifndef NVMR_COMMON_STATS_HH
@@ -26,7 +25,6 @@ enum class StatKind
 {
     Scalar,
     Histogram,
-    Distribution,
 };
 
 /** Common base: a name, a description and a kind. */
@@ -189,29 +187,6 @@ class Histogram : public StatBase
         return bucketHigh(kMaxBuckets - 1);
     }
 
-    /**
-     * Fold another histogram into this one, exactly: bucket counts,
-     * count and sum add; min/max combine. Merging shard-local
-     * histograms gives bit-identical count/buckets and (for samples
-     * exactly representable as doubles, e.g. integers) identical sum
-     * regardless of how samples were split across shards — the
-     * primitive fleet-scale aggregation needs (ROADMAP).
-     */
-    void
-    merge(const Histogram &other)
-    {
-        for (unsigned b = 0; b < kMaxBuckets; ++b)
-            counts[b] += other.counts[b];
-        _count += other._count;
-        _sum += other._sum;
-        if (other._count) {
-            if (other._min < _min)
-                _min = other._min;
-            if (other._max > _max)
-                _max = other._max;
-        }
-    }
-
     /** The bucket a value falls into. */
     static unsigned
     bucketOf(double v)
@@ -269,83 +244,6 @@ class Histogram : public StatBase
     double _max = -std::numeric_limits<double>::infinity();
 };
 
-/** Moment-tracking distribution: mean, stddev, min, max. */
-class Distribution : public StatBase
-{
-  public:
-    Distribution() = default;
-    Distribution(std::string stat_name, std::string stat_desc)
-        : StatBase(std::move(stat_name), std::move(stat_desc))
-    {}
-
-    StatKind kind() const override { return StatKind::Distribution; }
-
-    void
-    sample(double v)
-    {
-        ++_count;
-        _sum += v;
-        _sumSq += v * v;
-        if (v < _min)
-            _min = v;
-        if (v > _max)
-            _max = v;
-    }
-
-    void
-    reset() override
-    {
-        _count = 0;
-        _sum = 0;
-        _sumSq = 0;
-        _min = std::numeric_limits<double>::infinity();
-        _max = -std::numeric_limits<double>::infinity();
-    }
-
-    uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-    double min() const { return _count ? _min : 0.0; }
-    double max() const { return _count ? _max : 0.0; }
-    double mean() const
-    {
-        return _count ? _sum / static_cast<double>(_count) : 0.0;
-    }
-
-    double
-    stddev() const
-    {
-        if (_count < 2)
-            return 0.0;
-        double n = static_cast<double>(_count);
-        double var = (_sumSq - _sum * _sum / n) / (n - 1);
-        return var > 0 ? std::sqrt(var) : 0.0;
-    }
-
-    /** Fold another distribution into this one: moments add, min/max
-     *  combine. The merged mean/stddev equal those of the combined
-     *  sample stream (up to float summation order). */
-    void
-    merge(const Distribution &other)
-    {
-        _count += other._count;
-        _sum += other._sum;
-        _sumSq += other._sumSq;
-        if (other._count) {
-            if (other._min < _min)
-                _min = other._min;
-            if (other._max > _max)
-                _max = other._max;
-        }
-    }
-
-  private:
-    uint64_t _count = 0;
-    double _sum = 0;
-    double _sumSq = 0;
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
-};
-
 /**
  * A flat registry of stats. Components own their stats and register
  * pointers here; the group never owns the memory (components outlive
@@ -369,10 +267,6 @@ class StatGroup
 
     /** Look up a histogram by name; nullptr if absent / wrong kind. */
     const Histogram *findHistogram(const std::string &stat_name) const;
-
-    /** Look up a distribution; nullptr if absent / wrong kind. */
-    const Distribution *
-    findDistribution(const std::string &stat_name) const;
 
     /**
      * Scalar value lookup that panics when the stat does not exist.

@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/types.hh"
 #include "power/meter.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -105,7 +105,7 @@ class FreeList
     /** Serialize the queue + pointers for a machine snapshot (safe
      *  points only, outside backup transactions). */
     void
-    saveState(StateWriter &w) const
+    saveState(ByteWriter &w) const
     {
         panic_if(txnActive, "snapshot during a free-list transaction");
         w.vec(slots);
@@ -119,10 +119,10 @@ class FreeList
 
     /** Restore state captured by saveState(). */
     void
-    restoreState(StateReader &r)
+    restoreState(ByteReader &r)
     {
         slots = r.vec<Addr>();
-        panic_if(slots.size() != capacity,
+        panic_if(r.ok() && slots.size() != capacity,
                  "snapshot free list has wrong geometry");
         readPtr = r.u32();
         writePtr = r.u32();

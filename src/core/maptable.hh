@@ -15,9 +15,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/bytes.hh"
 #include "common/types.hh"
 #include "power/meter.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -92,7 +92,7 @@ class MapTable
      *  Snapshots are only taken at safe points, outside backup
      *  transactions. */
     void
-    saveState(StateWriter &w) const
+    saveState(ByteWriter &w) const
     {
         panic_if(txnActive, "snapshot during a map-table transaction");
         w.u64(map.size());
@@ -105,13 +105,12 @@ class MapTable
 
     /** Restore state captured by saveState(). */
     void
-    restoreState(StateReader &r)
+    restoreState(ByteReader &r)
     {
         map.clear();
         undoLog.clear();
         txnActive = false;
-        uint64_t n = r.u64();
-        r.checkCount(n, sizeof(Addr) + sizeof(Entry));
+        uint64_t n = r.count(r.u64(), sizeof(Addr) + sizeof(Entry));
         for (uint64_t i = 0; i < n; ++i) {
             Addr tag = r.pod<Addr>();
             map[tag] = r.pod<Entry>();

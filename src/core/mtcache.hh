@@ -15,11 +15,11 @@
 #include <functional>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "obs/trace.hh"
 #include "power/meter.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -130,7 +130,7 @@ class MapTableCache
     /** Serialize entries + LRU clock + derived counters for a
      *  machine snapshot. */
     void
-    saveState(StateWriter &w) const
+    saveState(ByteWriter &w) const
     {
         w.vec(slots);
         w.u64(tick);
@@ -140,10 +140,10 @@ class MapTableCache
 
     /** Restore state captured by saveState(). */
     void
-    restoreState(StateReader &r)
+    restoreState(ByteReader &r)
     {
         slots = r.vec<MtcEntry>();
-        panic_if(slots.size() != entries,
+        panic_if(r.ok() && slots.size() != entries,
                  "snapshot map-table cache has wrong geometry");
         tick = r.u64();
         dirtyCnt = r.u32();

@@ -508,7 +508,7 @@ NvmrArch::inspectMapping(Addr addr) const
 }
 
 void
-NvmrArch::saveState(StateWriter &w) const
+NvmrArch::saveState(ByteWriter &w) const
 {
     DominanceArch::saveState(w);
     mapTable.saveState(w);
@@ -530,7 +530,7 @@ NvmrArch::saveState(StateWriter &w) const
 }
 
 void
-NvmrArch::restoreState(StateReader &r)
+NvmrArch::restoreState(ByteReader &r)
 {
     DominanceArch::restoreState(r);
     mapTable.restoreState(r);
@@ -538,8 +538,7 @@ NvmrArch::restoreState(StateReader &r)
     freeList.restoreState(r);
     reserved = r.pod<Addr>();
     renameDepths.clear();
-    uint64_t ndepths = r.u64();
-    r.checkCount(ndepths, sizeof(Addr) + sizeof(uint64_t));
+    uint64_t ndepths = r.count(r.u64(), sizeof(Addr) + sizeof(uint64_t));
     for (uint64_t i = 0; i < ndepths; ++i) {
         Addr tag = r.pod<Addr>();
         renameDepths[tag] = r.u64();

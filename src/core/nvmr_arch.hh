@@ -55,8 +55,8 @@ class NvmrArch : public DominanceArch
     const MapTableCache &mtCacheRef() const { return mtc; }
     const FreeList &freeListRef() const { return freeList; }
 
-    void saveState(StateWriter &w) const override;
-    void restoreState(StateReader &r) override;
+    void saveState(ByteWriter &w) const override;
+    void restoreState(ByteReader &r) override;
 
   protected:
     void fetchBlock(Addr block_addr, std::span<Word> out) override;

@@ -17,11 +17,11 @@
 #include <array>
 #include <cstdint>
 
+#include "common/bytes.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "mem/port.hh"
 #include "obs/trace.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -88,7 +88,7 @@ class Cpu
     /** Serialize the full volatile state for a machine snapshot
      *  (unlike snapshot(), includes halted and instret). */
     void
-    saveState(StateWriter &w) const
+    saveState(ByteWriter &w) const
     {
         w.pod(regs);
         w.u32(_pc);
@@ -98,7 +98,7 @@ class Cpu
 
     /** Restore state captured by saveState(). */
     void
-    restoreState(StateReader &r)
+    restoreState(ByteReader &r)
     {
         regs = r.pod<std::array<Word, kNumRegs>>();
         _pc = r.u32();

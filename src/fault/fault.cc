@@ -136,7 +136,7 @@ FaultInjector::closeWindow()
 // ----------------------------------------------------------------------
 
 void
-FaultInjector::saveState(StateWriter &w) const
+FaultInjector::saveState(ByteWriter &w) const
 {
     w.pod(st);
     w.u64(rng.rawState());
@@ -151,14 +151,13 @@ FaultInjector::saveState(StateWriter &w) const
 }
 
 void
-FaultInjector::restoreState(StateReader &r,
+FaultInjector::restoreState(ByteReader &r,
                             uint64_t restored_total_cycles)
 {
     st = r.pod<FaultStats>();
     rng.setRawState(r.u64());
     stuck.clear();
-    uint64_t n = r.u64();
-    r.checkCount(n, sizeof(Addr) + sizeof(StuckCell));
+    uint64_t n = r.count(r.u64(), sizeof(Addr) + sizeof(StuckCell));
     for (uint64_t i = 0; i < n; ++i) {
         Addr addr = r.pod<Addr>();
         stuck[addr] = r.pod<StuckCell>();

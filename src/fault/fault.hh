@@ -17,10 +17,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/types.hh"
 #include "common/xorshift.hh"
 #include "obs/trace.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -233,14 +233,14 @@ class FaultInjector
      *  backup windows). The configuration and crash schedules are
      *  deliberately NOT captured: a forked run keeps its own
      *  schedules and re-derives the cursors on restore. */
-    void saveState(StateWriter &w) const;
+    void saveState(ByteWriter &w) const;
 
     /**
      * Restore state captured by saveState() and re-aim the schedule
      * cursors: entries at or before the restored persist counter /
      * the given totalCycles are treated as already fired.
      */
-    void restoreState(StateReader &r, uint64_t restored_total_cycles);
+    void restoreState(ByteReader &r, uint64_t restored_total_cycles);
 
   private:
     FaultConfig cfg;

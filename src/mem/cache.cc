@@ -94,7 +94,7 @@ DataCache::resetLbf()
 }
 
 void
-DataCache::saveState(StateWriter &w) const
+DataCache::saveState(ByteWriter &w) const
 {
     for (const CacheLine &line : lines) {
         w.boolean(line.valid);
@@ -113,7 +113,7 @@ DataCache::saveState(StateWriter &w) const
 }
 
 void
-DataCache::restoreState(StateReader &r)
+DataCache::restoreState(ByteReader &r)
 {
     for (CacheLine &line : lines) {
         line.valid = r.boolean();
@@ -124,8 +124,8 @@ DataCache::restoreState(StateReader &r)
         line.lruTick = r.u64();
         line.dirtyWordMask = r.u32();
         line.gbfMask = r.u64();
-        panic_if(line.data.size() != cfg.wordsPerBlock() ||
-                     line.lbf.size() != cfg.lbfEntries(),
+        panic_if(r.ok() && (line.data.size() != cfg.wordsPerBlock() ||
+                            line.lbf.size() != cfg.lbfEntries()),
                  "snapshot cache line has wrong geometry");
     }
     tick = r.u64();

@@ -15,10 +15,10 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "power/meter.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -289,10 +289,10 @@ class DataCache
     /** Serialize the dynamic state (lines, LRU clock, stats) for a
      *  machine snapshot; geometry/wiring are reconstructed, not
      *  serialized. */
-    void saveState(StateWriter &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore state captured by saveState(). */
-    void restoreState(StateReader &r);
+    void restoreState(ByteReader &r);
 
   private:
     CacheConfig cfg;

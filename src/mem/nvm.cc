@@ -132,7 +132,7 @@ Nvm::clearWear()
 }
 
 void
-Nvm::saveState(StateWriter &w) const
+Nvm::saveState(ByteWriter &w) const
 {
     // Wear travels sparsely, in ascending word order: (word index,
     // wear) for worn words only. The NVM is megabytes; the worn set
@@ -151,13 +151,12 @@ Nvm::saveState(StateWriter &w) const
 }
 
 void
-Nvm::restoreState(StateReader &r)
+Nvm::restoreState(ByteReader &r)
 {
     // Clear this run's wear before applying the snapshot's: the two
     // worn sets need not overlap.
     clearWear();
-    uint64_t n = r.u64();
-    r.checkCount(n, kWearEntryBytes);
+    uint64_t n = r.count(r.u64(), kWearEntryBytes);
     const uint8_t *in = r.consume(n * kWearEntryBytes);
     for (uint64_t k = 0; k < n; ++k, in += kWearEntryBytes) {
         uint32_t entry[2];

@@ -17,13 +17,13 @@
 #include <memory>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "fault/fault.hh"
 #include "obs/trace.hh"
 #include "power/meter.hh"
 #include "snapshot/cow.hh"
-#include "snapshot/state.hh"
 
 namespace nvmr
 {
@@ -205,10 +205,10 @@ class Nvm
 
     /** Serialize wear counters (sparse) and access stats; contents
      *  travel separately as the COW page table. */
-    void saveState(StateWriter &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore state captured by saveState(). */
-    void restoreState(StateReader &r);
+    void restoreState(ByteReader &r);
 
   private:
     uint32_t size;

@@ -132,17 +132,6 @@ ManifestWriter::statJson(const StatBase &stat)
         w.endArray();
         break;
       }
-      case StatKind::Distribution: {
-        const auto &d = static_cast<const Distribution &>(stat);
-        w.kv("kind", "distribution");
-        w.kv("count", d.count());
-        w.kv("sum", d.sum());
-        w.kv("min", d.min());
-        w.kv("max", d.max());
-        w.kv("mean", d.mean());
-        w.kv("stddev", d.stddev());
-        break;
-      }
     }
     w.endObject();
     return w.str();

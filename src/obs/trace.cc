@@ -1,9 +1,12 @@
 #include "obs/trace.hh"
 
+#include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
 #include "arch/arch.hh"
+#include "common/bytes.hh"
 #include "common/log.hh"
 #include "obs/json.hh"
 
@@ -103,30 +106,10 @@ trackOf(EventKind kind)
     }
 }
 
-void
-putU64(std::ostream &os, uint64_t v)
-{
-    char buf[8];
-    for (unsigned i = 0; i < 8; ++i)
-        buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    os.write(buf, 8);
-}
-
-bool
-getU64(std::istream &is, uint64_t &v)
-{
-    char buf[8];
-    if (!is.read(buf, 8))
-        return false;
-    v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<unsigned char>(buf[i]))
-             << (8 * i);
-    return true;
-}
-
 constexpr char kBinaryMagic[4] = {'N', 'V', 'T', 'R'};
 constexpr uint64_t kBinaryVersion = 1;
+/** One record: cycle, active, kind, a0, a1. */
+constexpr size_t kBinaryRecordBytes = 5 * 8;
 
 } // namespace
 
@@ -235,46 +218,53 @@ TraceBuffer::toChromeJson() const
 void
 TraceBuffer::writeBinary(std::ostream &os) const
 {
-    os.write(kBinaryMagic, 4);
-    putU64(os, kBinaryVersion);
-    std::vector<TraceEvent> evs = events();
-    putU64(os, evs.size());
-    putU64(os, dropped());
-    for (const TraceEvent &ev : evs) {
-        putU64(os, ev.cycle);
-        putU64(os, ev.active);
-        putU64(os, static_cast<uint64_t>(ev.kind));
-        putU64(os, ev.a0);
-        putU64(os, ev.a1);
+    ByteWriter w;
+    w.bytes(kBinaryMagic, 4);
+    w.u64(kBinaryVersion);
+    w.u64(ring.size());
+    w.u64(dropped());
+    // Oldest first, as events() orders them, without copying the ring.
+    for (size_t i = 0; i < ring.size(); ++i) {
+        const TraceEvent &ev = ring[(head + i) % cap];
+        w.u64(ev.cycle);
+        w.u64(ev.active);
+        w.u64(static_cast<uint64_t>(ev.kind));
+        w.u64(ev.a0);
+        w.u64(ev.a1);
     }
+    os.write(w.data().data(), static_cast<std::streamsize>(w.size()));
 }
 
 std::vector<TraceEvent>
 TraceBuffer::readBinary(std::istream &is, uint64_t *dropped_out)
 {
+    const std::string bytes{std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()};
+    ByteReader r(bytes);
     char magic[4];
-    fatal_if(!is.read(magic, 4) || magic[0] != 'N' || magic[1] != 'V' ||
-                 magic[2] != 'T' || magic[3] != 'R',
+    r.bytes(magic, 4);
+    fatal_if(!r.ok() || std::memcmp(magic, kBinaryMagic, 4) != 0,
              "not an NVTR trace file");
-    uint64_t version = 0, count = 0, dropped = 0;
-    fatal_if(!getU64(is, version) || version != kBinaryVersion,
-             "unsupported trace version");
-    fatal_if(!getU64(is, count) || !getU64(is, dropped),
-             "truncated trace header");
+    fatal_if(r.u64() != kBinaryVersion, "unsupported trace version");
+    uint64_t count = r.u64();
+    uint64_t dropped = r.u64();
+    fatal_if(!r.ok(), "truncated trace header");
+    // The record count is checked against the bytes that follow
+    // before anything is allocated for it.
+    std::vector<TraceEvent> out(r.count(count, kBinaryRecordBytes));
+    fatal_if(!r.ok(), "truncated trace records: ", r.error());
+    for (TraceEvent &ev : out) {
+        ev.cycle = r.u64();
+        ev.active = r.u64();
+        uint64_t kind = r.u64();
+        fatal_if(kind >= kNumEventKinds, "bad event kind in trace");
+        ev.kind = static_cast<EventKind>(kind);
+        ev.a0 = r.u64();
+        ev.a1 = r.u64();
+    }
+    fatal_if(!r.atEnd(), "trailing bytes after the trace records");
     if (dropped_out)
         *dropped_out = dropped;
-    std::vector<TraceEvent> out;
-    out.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-        uint64_t cycle, active, kind, a0, a1;
-        fatal_if(!getU64(is, cycle) || !getU64(is, active) ||
-                     !getU64(is, kind) || !getU64(is, a0) ||
-                     !getU64(is, a1),
-                 "truncated trace record");
-        fatal_if(kind >= kNumEventKinds, "bad event kind in trace");
-        out.push_back(TraceEvent{cycle, active,
-                                 static_cast<EventKind>(kind), a0, a1});
-    }
     return out;
 }
 

@@ -109,9 +109,11 @@ class TraceBuffer : public TraceSink
      *  fixed-width records; see docs/observability.md). */
     void writeBinary(std::ostream &os) const;
 
-    /** Parse a binary export back (tests / offline tooling). When
-     *  `dropped_out` is non-null it receives the header's count of
-     *  events lost to ring wrap before the export. */
+    /** Parse a binary export back (tests / offline tooling) from the
+     *  rest of `is`. A header record count the bytes that follow
+     *  cannot hold, a bad event kind or trailing bytes are fatal.
+     *  When `dropped_out` is non-null it receives the header's count
+     *  of events lost to ring wrap before the export. */
     static std::vector<TraceEvent>
     readBinary(std::istream &is, uint64_t *dropped_out = nullptr);
 

@@ -36,7 +36,7 @@ EnergyMeter::brownOut()
 }
 
 void
-EnergyMeter::saveState(StateWriter &w) const
+EnergyMeter::saveState(ByteWriter &w) const
 {
     w.f64(cap.rawEnergy());
     w.pod(account.rawState());
@@ -47,7 +47,7 @@ EnergyMeter::saveState(StateWriter &w) const
 }
 
 void
-EnergyMeter::restoreState(StateReader &r)
+EnergyMeter::restoreState(ByteReader &r)
 {
     cap.setRawEnergy(r.f64());
     account.setRawState(r.pod<EnergyAccount::Raw>());

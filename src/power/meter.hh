@@ -19,13 +19,13 @@
 
 #include <cstdint>
 
+#include "common/bytes.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "fault/fault.hh"
 #include "power/capacitor.hh"
 #include "power/energy.hh"
 #include "power/trace.hh"
-#include "snapshot/state.hh"
 
 /** The charge paths -- the meter's and the NVM word accessors that
  *  call it -- are forced inline into their callers: every call site
@@ -161,10 +161,10 @@ class EnergyMeter final
 
     /** Serialize the dynamic state (capacitor energy, ledger, clocks,
      *  harvest cache) for a machine snapshot. */
-    void saveState(StateWriter &w) const;
+    void saveState(ByteWriter &w) const;
 
     /** Restore state captured by saveState(); resets the mode. */
-    void restoreState(StateReader &r);
+    void restoreState(ByteReader &r);
 
   private:
     Capacitor cap;

@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/blob.hh"
 #include "campaign/sig.hh"
+#include "common/bytes.hh"
 #include "common/exitcodes.hh"
 #include "common/fsutil.hh"
 #include "common/log.hh"
@@ -49,12 +49,14 @@ jobKey(const std::string &name)
     return campaign::fnv1a("job:" + name);
 }
 
+} // namespace
+
 std::string
 encodeJobRecord(const std::string &name, uint64_t hash,
                 uint8_t status, unsigned attempts, int result_code,
                 const std::string &reason)
 {
-    campaign::BlobWriter w;
+    ByteWriter w;
     w.str(name);
     w.u64(hash);
     w.u8(status);
@@ -69,15 +71,18 @@ decodeJobRecord(const std::string &payload, std::string &name,
                 uint64_t &hash, uint8_t &status, unsigned &attempts,
                 int &result_code, std::string &reason)
 {
-    campaign::BlobReader r(payload);
+    ByteReader r(payload);
     name = r.str();
     hash = r.u64();
     status = r.u8();
     attempts = r.u32();
     result_code = static_cast<int>(r.u32());
     reason = r.str();
-    return r.ok();
+    return r.ok() && r.atEnd();
 }
+
+namespace
+{
 
 /**
  * Watches one job attempt from a side thread: arms the host

@@ -75,6 +75,16 @@ struct ServeOptions
                          0x7365727665ull};
 };
 
+/** Serialize / parse the service journal's record of one job: name,
+ *  spool content hash, status, attempts, result code and reason. */
+std::string encodeJobRecord(const std::string &name, uint64_t hash,
+                            uint8_t status, unsigned attempts,
+                            int result_code, const std::string &reason);
+bool decodeJobRecord(const std::string &payload, std::string &name,
+                     uint64_t &hash, uint8_t &status,
+                     unsigned &attempts, int &result_code,
+                     std::string &reason);
+
 /** One service run. Construct, then run() until drained. */
 class Service
 {

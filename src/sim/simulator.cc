@@ -246,7 +246,7 @@ Simulator::captureSnapshot()
 {
     panic_if(meter.atomic(), "snapshot inside an atomic section");
     MachineSnapshot snap;
-    StateWriter w;
+    ByteWriter w;
     cpu.saveState(w);
     meter.saveState(w);
     w.u64(lastBackupActive);
@@ -269,7 +269,7 @@ Simulator::captureSnapshot()
 void
 Simulator::restoreSnapshot(const MachineSnapshot &snap)
 {
-    StateReader r(snap.blob);
+    ByteReader r(snap.blob);
     cpu.restoreState(r);
     meter.restoreState(r);
     lastBackupActive = r.u64();
@@ -281,7 +281,7 @@ Simulator::restoreSnapshot(const MachineSnapshot &snap)
     nvm.restoreState(r);
     injector.restoreState(r, meter.totalCycles());
     arch->restoreState(r);
-    panic_if(!r.exhausted(), "snapshot blob has trailing bytes");
+    finishRestore(r);
     nvm.adoptPages(snap.nvmPages);
     snapPending = false;
 }

@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.hh"
 
+#include "common/log.hh"
 #include "fault/fault.hh"
 #include "sim/simulator.hh"
 
@@ -16,6 +17,13 @@ CollectingSnapshotSink::onSnapshotPoint(Simulator &sim)
         return;
     snapshots.push_back(
         std::make_shared<MachineSnapshot>(sim.captureSnapshot()));
+}
+
+void
+finishRestore(const ByteReader &r)
+{
+    panic_if(!r.ok(), "snapshot blob underrun: ", r.error());
+    panic_if(!r.atEnd(), "snapshot blob has trailing bytes");
 }
 
 ptrdiff_t

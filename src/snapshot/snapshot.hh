@@ -15,8 +15,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "snapshot/cow.hh"
 
 namespace nvmr
@@ -34,7 +36,7 @@ struct MachineSnapshot
     CowStore::PageTable nvmPages;
 
     /** Everything else, in component serialization order. */
-    std::vector<uint8_t> blob;
+    std::string blob;
 
     // Capture-point metadata, so explorers can pick the nearest
     // preceding snapshot without deserializing the blob.
@@ -90,6 +92,15 @@ class CollectingSnapshotSink : public SnapshotSink
     uint64_t stride;
     uint64_t maxWindows;
 };
+
+/**
+ * The one failure rule of a snapshot restore, which both restore
+ * entry points (Simulator::restoreSnapshot and the checker-state
+ * restore of runChecked) end with: a blob that ran short, or carried
+ * a count the rest of it cannot hold, panics once with the reader's
+ * latched message; a blob with bytes left over panics too.
+ */
+void finishRestore(const ByteReader &r);
 
 /**
  * The fork source of a run armed with `faults`: the index of the

@@ -54,7 +54,7 @@ endforeach()
 
 # --no-fork (from-scratch exploration) is gone; --verify-fork keeps
 # the from-scratch run as its reference. The flag must be refused
-# like any unknown argument (the usage text goes to stdout).
+# like any unknown argument, again with nothing on stdout.
 execute_process(
     COMMAND "${CRASHTEST}" ${tiny} --no-fork
     OUTPUT_VARIABLE out
@@ -64,6 +64,18 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown argument '--no-fork'")
     message(FATAL_ERROR
             "nvmr_crashtest --no-fork exited with ${rc}, expected 2:\n"
             "${err}")
+endif()
+if(NOT out STREQUAL "")
+    message(FATAL_ERROR "nvmr_crashtest --no-fork printed:\n${out}")
+endif()
+
+# Only --help puts the usage text on stdout.
+execute_process(
+    COMMAND "${CRASHTEST}" --help
+    OUTPUT_VARIABLE out
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "nvmr_crashtest: ")
+    message(FATAL_ERROR "nvmr_crashtest --help exited with ${rc}:\n${out}")
 endif()
 
 execute_process(

@@ -3,16 +3,19 @@
 # schedule and exit 0): every bad value below has to die with fatal
 # (exit 2, kExitUsage) and print nothing on stdout. --schedules is a
 # whole number in [1, 2^32 - 1], --seed a whole number, and
-# nvmr_train's --cap a finite capacitance above 0 farads. Invoked by
-# the `diff-bad-args` ctest:
+# nvmr_train's --cap a finite capacitance above 0 farads. nvmr_sim
+# refuses an unknown flag or a missing workload the same way; only
+# --help puts its usage text on stdout. Invoked by the
+# `diff-bad-args` ctest:
 #
-#   cmake -DDIFF=... -DTRAIN=... -DWORKDIR=... -P diff_bad_args.cmake
+#   cmake -DDIFF=... -DTRAIN=... -DSIM=... -DWORKDIR=...
+#         -P diff_bad_args.cmake
 
-if(NOT DEFINED DIFF OR NOT DEFINED TRAIN OR NOT DEFINED WORKDIR)
-    message(FATAL_ERROR
-            "pass -DDIFF=... -DTRAIN=... -DWORKDIR=... "
-            "(see tests/CMakeLists.txt)")
-endif()
+foreach(var DIFF TRAIN SIM WORKDIR)
+    if(NOT DEFINED ${var})
+        message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
+    endif()
+endforeach()
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
@@ -57,5 +60,16 @@ if(EXISTS "${WORKDIR}/x.model")
     message(FATAL_ERROR "nvmr_train wrote a model despite a bad --cap")
 endif()
 
+expect_refused(nvmr_sim "${SIM}" -w hist --bogus)
+expect_refused(nvmr_sim "${SIM}" -a nvmr)
+execute_process(
+    COMMAND "${SIM}" --help
+    OUTPUT_VARIABLE out
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "nvmr_sim: ")
+    message(FATAL_ERROR "nvmr_sim --help exited with ${rc}:\n${out}")
+endif()
+
 message(STATUS "diff-bad-args: every malformed --schedules, --seed "
-               "and --cap rejected with exit 2")
+               "and --cap, and nvmr_sim's unknown flag and missing "
+               "workload, rejected with exit 2")

@@ -121,4 +121,26 @@ if(NOT rc EQUAL 2)
             "expected 2)")
 endif()
 
+# Usage errors exit 2 with the reason on stderr and nothing on
+# stdout; only --help prints the usage text there.
+foreach(bad "--bogus" "${metrics};--bogus" "${metrics};${metrics}" "")
+    execute_process(
+        COMMAND "${REPORT}" ${bad}
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2 OR NOT out STREQUAL "" OR NOT err MATCHES "fatal: ")
+        message(FATAL_ERROR
+                "nvmr_report ${bad} exited with ${rc} (expected 2, "
+                "empty stdout):\n${out}${err}")
+    endif()
+endforeach()
+execute_process(
+    COMMAND "${REPORT}" --help
+    OUTPUT_VARIABLE out
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "nvmr_report: ")
+    message(FATAL_ERROR "nvmr_report --help exited with ${rc}:\n${out}")
+endif()
+
 message(STATUS "metrics smoke: snapshot, span trace and report OK")

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -229,19 +230,41 @@ TEST(CampaignJournal, Crc32MatchesKnownVector)
 
 TEST(CampaignCellIo, DecodersRejectOversizedElementCounts)
 {
-    // A corrupt element count must not turn into a giant resize().
+    // A corrupt element count must not turn into a giant resize(),
+    // and a refused payload leaves the output empty with nothing
+    // allocated. The second payload is 1 MiB with a count as large
+    // as the payload itself: refused against the element size, not
+    // the payload size.
     std::string bogus(12, '\0');
     bogus[0] = static_cast<char>(0xff);
     bogus[1] = static_cast<char>(0xff);
     bogus[2] = static_cast<char>(0xff);
     bogus[3] = static_cast<char>(0x7f);
+    const uint32_t n = (1u << 20) - 8;
+    std::string mib(1u << 20, '\0');
+    std::memcpy(mib.data(), &n, sizeof n);
+    std::string census_mib(1u << 20, '\0');
+    census_mib[0] = 1; // completed
+    std::memcpy(census_mib.data() + 17, &n, sizeof n); // windows
 
-    std::vector<RunResult> runs;
-    EXPECT_FALSE(decodeRunResults(bogus, runs));
-    std::vector<SpendthriftSample> samples;
-    EXPECT_FALSE(decodeSamples(bogus, samples));
-    CensusResult census;
-    EXPECT_FALSE(decodeCensus(bogus, census));
+    for (const std::string &bytes : {bogus, mib}) {
+        std::vector<RunResult> runs(1);
+        EXPECT_FALSE(decodeRunResults(bytes, runs));
+        EXPECT_TRUE(runs.empty() && runs.capacity() == 0);
+        std::vector<SpendthriftSample> samples(1);
+        EXPECT_FALSE(decodeSamples(bytes, samples));
+        EXPECT_TRUE(samples.empty() && samples.capacity() == 0);
+    }
+    for (const std::string &bytes : {bogus, census_mib}) {
+        CensusResult census;
+        census.windows.resize(1);
+        census.commitCycles.resize(1);
+        EXPECT_FALSE(decodeCensus(bytes, census));
+        EXPECT_TRUE(census.windows.empty() &&
+                    census.windows.capacity() == 0);
+        EXPECT_TRUE(census.commitCycles.empty() &&
+                    census.commitCycles.capacity() == 0);
+    }
 }
 
 } // namespace

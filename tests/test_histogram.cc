@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the log2-bucketed Histogram and the moment-tracking
- * Distribution: bucket-edge behavior at powers of two, saturation at
- * the last bucket, empty-histogram conventions and moment math.
+ * Unit tests for the log2-bucketed Histogram: bucket-edge behavior at
+ * powers of two, saturation at the last bucket and empty-histogram
+ * conventions.
  */
 
 #include <gtest/gtest.h>
@@ -110,29 +110,6 @@ TEST(Histogram, ResetClearsEverything)
     EXPECT_DOUBLE_EQ(h.sum(), 0.0);
     EXPECT_EQ(h.numBuckets(), 0u);
     EXPECT_DOUBLE_EQ(h.min(), 0.0);
-}
-
-TEST(Distribution, MomentMath)
-{
-    Distribution d("d", "");
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    d.sample(2.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0); // < 2 samples
-    d.sample(4.0);
-    d.sample(4.0);
-    d.sample(4.0);
-    d.sample(5.0);
-    d.sample(5.0);
-    d.sample(7.0);
-    d.sample(9.0);
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    EXPECT_NEAR(d.stddev(), 2.138, 1e-3); // sample stddev
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
 }
 
 } // namespace

@@ -98,14 +98,6 @@ TEST(Manifest, StatJsonCoversAllKinds)
     EXPECT_NE(hj.find("\"histogram\""), std::string::npos);
     EXPECT_NE(hj.find("\"buckets\""), std::string::npos);
     EXPECT_NE(hj.find("\"p99\""), std::string::npos);
-
-    Distribution d("residency", "");
-    d.sample(1.0);
-    d.sample(2.0);
-    std::string dj = ManifestWriter::statJson(d);
-    EXPECT_TRUE(jsonValidate(dj));
-    EXPECT_NE(dj.find("\"distribution\""), std::string::npos);
-    EXPECT_NE(dj.find("\"stddev\""), std::string::npos);
 }
 
 TEST(Manifest, FullDocumentFromARealRun)

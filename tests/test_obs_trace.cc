@@ -190,6 +190,25 @@ TEST(BinaryExport, UnwrappedRingReportsZeroDropped)
     EXPECT_EQ(back.size(), 1u);
 }
 
+TEST(BinaryExport, HugeRecordCountIsAUsageError)
+{
+    // A 28-byte file whose header claims 2^40 records: the count is
+    // checked against the bytes that follow (none) before anything is
+    // allocated, and the reader exits with the usage code.
+    std::string file("NVTR", 4);
+    for (uint64_t v : {uint64_t(1), uint64_t(1) << 40, uint64_t(0)})
+        file.append(reinterpret_cast<const char *>(&v), sizeof v);
+    ASSERT_EQ(file.size(), 28u);
+    EXPECT_EXIT(
+        {
+            std::istringstream is(file);
+            TraceBuffer::readBinary(is);
+        },
+        ::testing::ExitedWithCode(2),
+        "truncated trace records: need 1099511627776 x 40 bytes, "
+        "have 0");
+}
+
 TEST(TextSink, FormatsNarrativeEventsLikeTheLegacyPrinter)
 {
     TraceEvent backup{500, 152, EventKind::BackupCommit,

@@ -2,13 +2,14 @@
  * @file
  * Unit tests for the snapshot subsystem (src/snapshot/): CowStore
  * copy-on-write semantics (fork isolation, page-refcount release,
- * snapshot-of-fork chains), the StateWriter/StateReader blob format,
+ * snapshot-of-fork chains), the ByteWriter/ByteReader blob format,
  * and Simulator-level capture/restore byte-identity on a real
  * workload. The cross-engine matrix lives in the separate
  * `snapshot-equivalence` test.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <thread>
@@ -23,7 +24,6 @@
 #include "sim/simulator.hh"
 #include "snapshot/cow.hh"
 #include "snapshot/snapshot.hh"
-#include "snapshot/state.hh"
 #include "workloads/workloads.hh"
 
 using namespace nvmr;
@@ -317,7 +317,7 @@ TEST(CowStore, SamePageContents)
 }
 
 // ---------------------------------------------------------------------
-// StateWriter / StateReader
+// Snapshot blobs through ByteWriter / ByteReader
 // ---------------------------------------------------------------------
 
 namespace
@@ -330,11 +330,52 @@ struct PodSample
     uint8_t c;
 };
 
+// The "N x M" form of the message is the count check's, so a restore
+// loop that trusts a count and only runs out of bytes part-way (plain
+// "need M bytes") does not pass these.
+constexpr const char *kCountUnderrun =
+    "snapshot blob underrun: need [0-9]+ x [0-9]+ bytes";
+constexpr uint64_t kHugeCount = uint64_t(1) << 60;
+
+/** Overwrite the u64 count field at `at`, which must read 0. */
+void
+patchCount(std::string &blob, size_t at)
+{
+    ASSERT_LE(at + sizeof(uint64_t), blob.size());
+    uint64_t old = 1;
+    std::memcpy(&old, blob.data() + at, sizeof(old));
+    ASSERT_EQ(old, 0u) << "count field not at offset " << at;
+    std::memcpy(blob.data() + at, &kHugeCount, sizeof(kHugeCount));
+}
+
+/** An architecture's state blob after the harness's initial backup. */
+std::string
+archBlob(ArchKind kind)
+{
+    ArchHarness h(kind);
+    ByteWriter w;
+    h.arch->saveState(w);
+    return w.take();
+}
+
+/** Run `restore` and end it the way the snapshot entry points do, so
+ *  a refused count panics with its latched message. The alarm makes a
+ *  restore loop that trusted a huge count, and spins on the reader's
+ *  zeros, die without that message instead of hanging. */
+template <typename Restore>
+void
+restoreAsEntryPoint(const ByteReader &r, Restore restore)
+{
+    alarm(10);
+    restore();
+    finishRestore(r);
+}
+
 } // namespace
 
 TEST(StateBlob, RoundTrip)
 {
-    StateWriter w;
+    ByteWriter w;
     w.u8(0x5a);
     w.u32(0xdeadbeefu);
     w.u64(0x0123456789abcdefull);
@@ -349,8 +390,8 @@ TEST(StateBlob, RoundTrip)
     PodSample s{7, -1.5, 9};
     w.pod(s);
 
-    std::vector<uint8_t> blob = w.take();
-    StateReader r(blob);
+    std::string blob = w.take();
+    ByteReader r(blob);
     EXPECT_EQ(r.u8(), 0x5a);
     EXPECT_EQ(r.u32(), 0xdeadbeefu);
     EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
@@ -365,166 +406,226 @@ TEST(StateBlob, RoundTrip)
     EXPECT_EQ(back.a, 7u);
     EXPECT_EQ(back.b, -1.5);
     EXPECT_EQ(back.c, 9u);
-    EXPECT_TRUE(r.exhausted());
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST(StateBlob, UnderrunPanics)
 {
-    StateWriter w;
+    ByteWriter w;
     w.u8(1);
-    std::vector<uint8_t> blob = w.take();
-    StateReader r(blob);
+    w.u8(2);
+    std::string blob = w.take();
+    ByteReader r(blob);
     EXPECT_EQ(r.u8(), 1u);
-    EXPECT_DEATH({ r.u64(); }, "underrun");
+    // A read past the end latches the first failure and reads zeros
+    // from then on, even where bytes are left.
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_EQ(r.u8(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), "need 8 bytes, have 1");
+    EXPECT_DEATH(finishRestore(r),
+                 "snapshot blob underrun: need 8 bytes, have 1");
+}
+
+TEST(StateBlob, TrailingBytesPanic)
+{
+    ByteWriter w;
+    w.u32(1);
+    std::string blob = w.take();
+    ByteReader r(blob);
+    EXPECT_EQ(r.u8(), 1u);
+    EXPECT_TRUE(r.ok());
+    EXPECT_DEATH(finishRestore(r), "snapshot blob has trailing bytes");
 }
 
 TEST(StateBlob, HugeCountFieldsPanicBeforeAllocating)
 {
-    // A count field of 2^60 in a short blob: refused before any
+    // Count fields far beyond a short blob: refused before any
     // allocation, and without n * sizeof(T) wrapping to a small size.
-    StateWriter w;
-    w.u64(uint64_t(1) << 60);
-    w.u64(0);
-    std::vector<uint8_t> blob = w.take();
+    ByteWriter sw;
+    sw.u32(UINT32_MAX);
+    sw.u64(0);
+    std::string str_blob = sw.take();
+    ByteWriter vw;
+    vw.u64(kHugeCount);
+    vw.u64(0);
+    std::string vec_blob = vw.take();
     {
-        StateReader r(blob);
-        EXPECT_DEATH({ r.str(); }, "snapshot blob underrun");
+        ByteReader r(str_blob);
+        EXPECT_TRUE(r.str().empty());
+        EXPECT_EQ(r.error(), "need 4294967295 x 1 bytes, have 8");
+        EXPECT_DEATH(finishRestore(r), kCountUnderrun);
     }
     {
-        StateReader r(blob);
-        EXPECT_DEATH({ r.vec<uint64_t>(); }, "snapshot blob underrun");
+        ByteReader r(vec_blob);
+        EXPECT_EQ(r.vec<uint64_t>().capacity(), 0u);
+        EXPECT_DEATH(finishRestore(r), kCountUnderrun);
     }
     {
         // 2^60 x 16 bytes wraps to 0 in 64 bits.
-        StateReader r(blob);
+        ByteReader r(vec_blob);
         struct Wide
         {
             uint64_t a, b;
         };
-        EXPECT_DEATH({ r.vec<Wide>(); }, "snapshot blob underrun");
+        EXPECT_EQ(r.vec<Wide>().capacity(), 0u);
+        EXPECT_EQ(r.error(), "need 1152921504606846976 x 16 bytes, "
+                             "have 8");
+        EXPECT_DEATH(finishRestore(r), kCountUnderrun);
     }
 }
 
 // The per-entry restore loops refuse a count field the rest of the
-// blob cannot hold before reading any entry. The "need N x M" form of
-// the message is checkCount's, so an unchecked loop that only runs out
-// of bytes part-way (plain "need M bytes") does not pass these.
-
-namespace
-{
-
-constexpr const char *kCountUnderrun =
-    "snapshot blob underrun: need [0-9]+ x [0-9]+ bytes";
-constexpr uint64_t kHugeCount = uint64_t(1) << 60;
-
-/** Overwrite the u64 count field at `at`, which must read 0. */
-void
-patchCount(std::vector<uint8_t> &blob, size_t at)
-{
-    ASSERT_LE(at + sizeof(uint64_t), blob.size());
-    uint64_t old = 1;
-    std::memcpy(&old, blob.data() + at, sizeof(old));
-    ASSERT_EQ(old, 0u) << "count field not at offset " << at;
-    std::memcpy(blob.data() + at, &kHugeCount, sizeof(kHugeCount));
-}
-
-/** An architecture's state blob after the harness's initial backup. */
-std::vector<uint8_t>
-archBlob(ArchKind kind)
-{
-    ArchHarness h(kind);
-    StateWriter w;
-    h.arch->saveState(w);
-    return w.take();
-}
-
-} // namespace
+// blob cannot hold before reading any entry.
 
 TEST(StateBlob, HugeStuckCellCountPanics)
 {
-    StateWriter w;
+    ByteWriter w;
     w.pod(FaultStats{});
     w.u64(1); // rng
     w.u64(kHugeCount);
     w.u64(0);
-    std::vector<uint8_t> blob = w.take();
+    std::string blob = w.take();
     FaultInjector inj;
-    StateReader r(blob);
-    EXPECT_DEATH({ inj.restoreState(r, 0); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { inj.restoreState(r, 0); }),
+        kCountUnderrun);
 }
 
 TEST(StateBlob, HugeMapTableCountPanics)
 {
-    StateWriter w;
+    ByteWriter w;
     w.u64(kHugeCount);
     w.u64(0); // tick
-    std::vector<uint8_t> blob = w.take();
+    std::string blob = w.take();
     TechParams tech;
     TestMeter meter;
     MapTable mt{4, tech, meter};
-    StateReader r(blob);
-    EXPECT_DEATH({ mt.restoreState(r); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { mt.restoreState(r); }),
+        kCountUnderrun);
 }
 
-// HOOP's blob ends with its buffer index and committed log (both empty
-// after the initial backup), then 24 bytes: bufGroups, bufLastBlock,
-// regionFill and gcs.
+// HOOP's blob ends with its out-of-place buffer, buffer index and
+// committed log (all empty after the initial backup), then 24 bytes:
+// bufGroups, bufLastBlock, regionFill and gcs.
+TEST(StateBlob, HugeHoopBufferCountPanics)
+{
+    std::string blob = archBlob(ArchKind::Hoop);
+    patchCount(blob, blob.size() - 24 - 3 * sizeof(uint64_t));
+    ArchHarness h(ArchKind::Hoop);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { h.arch->restoreState(r); }),
+        kCountUnderrun);
+}
+
 TEST(StateBlob, HugeHoopBufferIndexCountPanics)
 {
-    std::vector<uint8_t> blob = archBlob(ArchKind::Hoop);
+    std::string blob = archBlob(ArchKind::Hoop);
     patchCount(blob, blob.size() - 24 - 2 * sizeof(uint64_t));
     ArchHarness h(ArchKind::Hoop);
-    StateReader r(blob);
-    EXPECT_DEATH({ h.arch->restoreState(r); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { h.arch->restoreState(r); }),
+        kCountUnderrun);
 }
 
 TEST(StateBlob, HugeHoopCommittedLogCountPanics)
 {
-    std::vector<uint8_t> blob = archBlob(ArchKind::Hoop);
+    std::string blob = archBlob(ArchKind::Hoop);
     patchCount(blob, blob.size() - 24 - sizeof(uint64_t));
     ArchHarness h(ArchKind::Hoop);
-    StateReader r(blob);
-    EXPECT_DEATH({ h.arch->restoreState(r); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { h.arch->restoreState(r); }),
+        kCountUnderrun);
+}
+
+// Clank-original's blob ends with its read-first and write-first
+// address sets, both empty after the initial backup.
+TEST(StateBlob, HugeClankOriginalAddressSetCountPanics)
+{
+    for (size_t from_end : {2 * sizeof(uint64_t), sizeof(uint64_t)}) {
+        std::string blob = archBlob(ArchKind::ClankOriginal);
+        patchCount(blob, blob.size() - from_end);
+        ArchHarness h(ArchKind::ClankOriginal);
+        ByteReader r(blob);
+        EXPECT_DEATH(
+            restoreAsEntryPoint(r, [&] { h.arch->restoreState(r); }),
+            kCountUnderrun)
+            << from_end << " bytes from the end";
+    }
 }
 
 // NvMR's blob ends with its rename depths (empty after the initial
 // backup), two histograms, two bools and three addresses.
 TEST(StateBlob, HugeRenameDepthCountPanics)
 {
-    std::vector<uint8_t> blob = archBlob(ArchKind::Nvmr);
+    std::string blob = archBlob(ArchKind::Nvmr);
     const size_t tail = 2 * sizeof(Histogram::Raw) + 2 + 3 * sizeof(Addr);
     patchCount(blob, blob.size() - tail - sizeof(uint64_t));
     ArchHarness h(ArchKind::Nvmr);
-    StateReader r(blob);
-    EXPECT_DEATH({ h.arch->restoreState(r); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { h.arch->restoreState(r); }),
+        kCountUnderrun);
 }
 
 TEST(StateBlob, HugeInvariantAddressSetCountPanics)
 {
-    StateWriter w;
+    ByteWriter w;
     w.u8(0);  // epoch
     w.u64(0); // lastCommitted
     w.u64(kHugeCount); // gbfShadow
-    std::vector<uint8_t> blob = w.take();
+    std::string blob = w.take();
     ArchHarness h(ArchKind::Clank);
     InvariantSink sink(*h.arch, h.cfg);
-    StateReader r(blob);
-    EXPECT_DEATH({ sink.restoreState(r); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { sink.restoreState(r); }),
+        kCountUnderrun);
 }
 
 TEST(StateBlob, HugeInvariantAddressMapCountPanics)
 {
-    StateWriter w;
+    ByteWriter w;
     w.u8(0);  // epoch
     w.u64(0); // lastCommitted
     for (int set = 0; set < 3; ++set)
         w.u64(0); // gbfShadow, readFirst, writeFirst
     w.u64(kHugeCount); // volatileRenames
-    std::vector<uint8_t> blob = w.take();
+    std::string blob = w.take();
     ArchHarness h(ArchKind::Clank);
     InvariantSink sink(*h.arch, h.cfg);
-    StateReader r(blob);
-    EXPECT_DEATH({ sink.restoreState(r); }, kCountUnderrun);
+    ByteReader r(blob);
+    EXPECT_DEATH(
+        restoreAsEntryPoint(r, [&] { sink.restoreState(r); }),
+        kCountUnderrun);
+}
+
+TEST(StateBlob, EveryStrictPrefixOfAnArchBlobLatches)
+{
+    // Cut anywhere, an architecture's blob restores to a latched
+    // failure: never a read past the end, never a panic of its own.
+    for (ArchKind kind : {ArchKind::Clank, ArchKind::ClankOriginal,
+                          ArchKind::Task, ArchKind::Nvmr,
+                          ArchKind::Hoop}) {
+        const std::string blob = archBlob(kind);
+        ArchHarness h(kind);
+        for (size_t n = 0; n < blob.size(); ++n) {
+            ByteReader r(blob.data(), n);
+            h.arch->restoreState(r);
+            EXPECT_FALSE(r.ok())
+                << archKindName(kind) << " prefix of " << n << " bytes";
+        }
+        ByteReader r(blob);
+        h.arch->restoreState(r);
+        EXPECT_TRUE(r.ok() && r.atEnd()) << archKindName(kind);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -703,6 +804,35 @@ TEST(SnapshotSim, ForkResumesByteIdentical)
         expectIdentical(want, got,
                         ("fork " + std::to_string(i)).c_str());
     }
+}
+
+TEST(SnapshotSim, MalformedBlobPanicsOnceAtRestore)
+{
+    Program prog = assembleWorkload("hist");
+    SystemConfig cfg;
+    JitPolicy jit;
+    HarvestTrace trace(TraceKind::Rf, 7, 8.0);
+    RunOptions opts;
+    opts.validate = false;
+    CollectingSnapshotSink sink(1);
+    opts.snapshots = &sink;
+    Simulator scratch(prog, ArchKind::Nvmr, cfg, jit, trace, opts);
+    ASSERT_TRUE(scratch.run().completed);
+    ASSERT_FALSE(sink.snapshots.empty());
+
+    auto forkFrom = [&](const MachineSnapshot &snap) {
+        RunOptions fopts;
+        fopts.validate = false;
+        fopts.resumeFrom = &snap;
+        Simulator fork(prog, ArchKind::Nvmr, cfg, jit, trace, fopts);
+        fork.run();
+    };
+    MachineSnapshot cut = *sink.snapshots.back();
+    cut.blob.pop_back();
+    EXPECT_DEATH(forkFrom(cut), "snapshot blob underrun: need");
+    MachineSnapshot longer = *sink.snapshots.back();
+    longer.blob.push_back('\0');
+    EXPECT_DEATH(forkFrom(longer), "snapshot blob has trailing bytes");
 }
 
 TEST(SnapshotSim, SnapshotOutlivesCapturingSimulator)

@@ -40,21 +40,16 @@ TEST(Stats, HasReportsExistenceAcrossKinds)
 {
     Scalar a("a", "");
     Histogram h("h", "");
-    Distribution d("d", "");
     StatGroup g;
     g.add(&a);
     g.add(&h);
-    g.add(&d);
     EXPECT_TRUE(g.has("a"));
     EXPECT_TRUE(g.has("h"));
-    EXPECT_TRUE(g.has("d"));
     EXPECT_FALSE(g.has("zzz"));
     EXPECT_EQ(g.findHistogram("h"), &h);
-    EXPECT_EQ(g.findDistribution("d"), &d);
     // Kind-checked lookups reject the wrong shape.
     EXPECT_EQ(g.find("h"), nullptr);
     EXPECT_EQ(g.findHistogram("a"), nullptr);
-    EXPECT_EQ(g.findDistribution("h"), nullptr);
     EXPECT_EQ(g.findStat("h"), &h);
 }
 
@@ -90,80 +85,6 @@ TEST(Stats, PreservesRegistrationOrder)
     ASSERT_EQ(g.all().size(), 3u);
     EXPECT_EQ(g.all()[0], &b);
     EXPECT_EQ(g.all()[1], &a);
-}
-
-TEST(Stats, HistogramMergeIsExactForIntegerSamples)
-{
-    // Split one integer sample stream across two shards; the merge
-    // must reproduce the single-histogram result exactly (integers
-    // are exactly representable, so even the double sum is exact).
-    Histogram whole("w", ""), a("a", ""), b("b", "");
-    for (uint64_t v = 0; v < 2000; ++v) {
-        whole.sample(static_cast<double>(v * 37 % 1024));
-        (v % 3 ? a : b).sample(static_cast<double>(v * 37 % 1024));
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), whole.count());
-    EXPECT_EQ(a.sum(), whole.sum());
-    EXPECT_EQ(a.min(), whole.min());
-    EXPECT_EQ(a.max(), whole.max());
-    for (unsigned bk = 0; bk < Histogram::kMaxBuckets; ++bk)
-        EXPECT_EQ(a.bucketCount(bk), whole.bucketCount(bk))
-            << "bucket " << bk;
-    EXPECT_DOUBLE_EQ(a.mean(), whole.mean());
-    EXPECT_DOUBLE_EQ(a.percentile(0.5), whole.percentile(0.5));
-}
-
-TEST(Stats, HistogramMergeWithEmptySides)
-{
-    Histogram a("a", ""), empty("e", "");
-    a.sample(4);
-    a.sample(9);
-    Histogram before = a;
-    a.merge(empty); // merging empty changes nothing
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.min(), before.min());
-    EXPECT_EQ(a.max(), before.max());
-
-    Histogram onto_empty("o", "");
-    onto_empty.merge(a); // merging into empty adopts min/max
-    EXPECT_EQ(onto_empty.count(), 2u);
-    EXPECT_EQ(onto_empty.min(), 4.0);
-    EXPECT_EQ(onto_empty.max(), 9.0);
-}
-
-TEST(Stats, DistributionMergeMatchesCombinedStream)
-{
-    Distribution whole("w", ""), a("a", ""), b("b", "");
-    for (int i = 1; i <= 100; ++i) {
-        whole.sample(i);
-        (i % 2 ? a : b).sample(i);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), whole.count());
-    EXPECT_DOUBLE_EQ(a.sum(), whole.sum());
-    EXPECT_DOUBLE_EQ(a.mean(), whole.mean());
-    EXPECT_NEAR(a.stddev(), whole.stddev(), 1e-9);
-    EXPECT_EQ(a.min(), 1.0);
-    EXPECT_EQ(a.max(), 100.0);
-}
-
-TEST(Stats, DistributionMergeWithEmptySides)
-{
-    Distribution a("a", ""), empty("e", "");
-    a.sample(-3);
-    a.sample(5);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.min(), -3.0);
-    EXPECT_EQ(a.max(), 5.0);
-
-    Distribution onto_empty("o", "");
-    onto_empty.merge(a);
-    EXPECT_EQ(onto_empty.count(), 2u);
-    EXPECT_EQ(onto_empty.min(), -3.0);
-    EXPECT_EQ(onto_empty.max(), 5.0);
-    EXPECT_DOUBLE_EQ(onto_empty.mean(), 1.0);
 }
 
 TEST(Table, AlignsColumns)

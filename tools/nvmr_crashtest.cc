@@ -46,11 +46,11 @@
 #include <string>
 #include <vector>
 
-#include "campaign/blob.hh"
 #include "campaign/campaign.hh"
 #include "campaign/cellio.hh"
 #include "campaign/sig.hh"
 #include "cli.hh"
+#include "common/bytes.hh"
 #include "common/exitcodes.hh"
 #include "common/log.hh"
 #include "common/xorshift.hh"
@@ -299,7 +299,7 @@ struct CensusCell
 std::string
 encodeCensusCell(const CensusCell &c)
 {
-    campaign::BlobWriter w;
+    ByteWriter w;
     w.str(campaign::encodeCensus(c.census));
     w.u64(c.snapshots);
     w.u64(c.forked);
@@ -309,7 +309,7 @@ encodeCensusCell(const CensusCell &c)
 bool
 decodeCensusCell(const std::string &bytes, CensusCell &c)
 {
-    campaign::BlobReader r(bytes);
+    ByteReader r(bytes);
     std::string census = r.str();
     c.snapshots = r.u64();
     c.forked = r.u64();
@@ -493,7 +493,6 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else {
-            usage();
             fatal("unknown argument '", a, "'");
         }
     }

@@ -413,19 +413,14 @@ main(int argc, char **argv)
             usage();
             return kExitOk;
         } else if (a[0] == '-') {
-            usage();
             fatal("unknown argument '", a, "'");
         } else if (metrics_path.empty()) {
             metrics_path = a;
         } else {
-            usage();
             fatal("unexpected argument '", a, "'");
         }
     }
-    if (metrics_path.empty()) {
-        usage();
-        fatal("METRICS.json is required");
-    }
+    fatal_if(metrics_path.empty(), "METRICS.json is required");
 
     JsonValue doc = loadJsonOrDie(metrics_path, "metrics snapshot");
     // One report tool, two snapshot kinds: per-campaign heartbeats

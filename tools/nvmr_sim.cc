@@ -180,15 +180,11 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else {
-            usage();
             fatal("unknown argument '", a, "'");
         }
     }
 
-    if (workload.empty()) {
-        usage();
-        fatal("--workload is required (try --list)");
-    }
+    fatal_if(workload.empty(), "--workload is required (try --list)");
 
     cfg.capacitorFarads = cap;
 
