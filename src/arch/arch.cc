@@ -23,20 +23,6 @@ backupReasonName(BackupReason reason)
     }
 }
 
-const char *
-archKindName(ArchKind kind)
-{
-    switch (kind) {
-      case ArchKind::Ideal: return "ideal";
-      case ArchKind::Clank: return "clank";
-      case ArchKind::ClankOriginal: return "clank_original";
-      case ArchKind::Task: return "task";
-      case ArchKind::Nvmr: return "nvmr";
-      case ArchKind::Hoop: return "hoop";
-      default: return "<bad>";
-    }
-}
-
 IntermittentArch::IntermittentArch(const SystemConfig &config, Nvm &nvm_,
                                    EnergyMeter &mtr)
     : cfg(config), nvm(nvm_), meter(mtr), cache(config.cache,

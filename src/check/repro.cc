@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/names.hh"
+
 namespace nvmr
 {
 
@@ -20,82 +22,24 @@ fmtDouble(double v)
     return buf;
 }
 
+constexpr KindName<InjectedBug> kBugNames[] = {
+    {InjectedBug::None, "none"},
+    {InjectedBug::FreeListLeak, "freelist_leak"},
+    {InjectedBug::RenameAlias, "rename_alias"},
+};
+
+} // namespace
+
 const char *
 injectedBugName(InjectedBug bug)
 {
-    switch (bug) {
-      case InjectedBug::None: return "none";
-      case InjectedBug::FreeListLeak: return "freelist_leak";
-      case InjectedBug::RenameAlias: return "rename_alias";
-      default: return "<bad>";
-    }
+    return nameOf(kBugNames, bug);
 }
 
 bool
 injectedBugFromName(const std::string &name, InjectedBug &out)
 {
-    if (name == "none")
-        out = InjectedBug::None;
-    else if (name == "freelist_leak")
-        out = InjectedBug::FreeListLeak;
-    else if (name == "rename_alias")
-        out = InjectedBug::RenameAlias;
-    else
-        return false;
-    return true;
-}
-
-} // namespace
-
-bool
-archKindFromName(const std::string &name, ArchKind &out)
-{
-    for (ArchKind k :
-         {ArchKind::Ideal, ArchKind::Clank, ArchKind::ClankOriginal,
-          ArchKind::Task, ArchKind::Nvmr, ArchKind::Hoop}) {
-        if (name == archKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-policyKindFromName(const std::string &name, PolicyKind &out)
-{
-    for (PolicyKind k : {PolicyKind::Jit, PolicyKind::Watchdog,
-                         PolicyKind::Spendthrift, PolicyKind::None}) {
-        if (name == policyKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-traceKindName(TraceKind kind)
-{
-    switch (kind) {
-      case TraceKind::Rf: return "rf";
-      case TraceKind::Solar: return "solar";
-      case TraceKind::Wind: return "wind";
-      default: return "<bad>";
-    }
-}
-
-bool
-traceKindFromName(const std::string &name, TraceKind &out)
-{
-    for (TraceKind k :
-         {TraceKind::Rf, TraceKind::Solar, TraceKind::Wind}) {
-        if (name == traceKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
+    return kindOf(kBugNames, name, out);
 }
 
 std::string

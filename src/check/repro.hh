@@ -78,11 +78,10 @@ bool saveRepro(const std::string &path, const CheckCase &c);
 bool loadRepro(const std::string &path, CheckCase &out,
                std::string &error);
 
-/** Name <-> enum helpers (false on unknown name). */
-bool archKindFromName(const std::string &name, ArchKind &out);
-bool policyKindFromName(const std::string &name, PolicyKind &out);
-bool traceKindFromName(const std::string &name, TraceKind &out);
-const char *traceKindName(TraceKind kind);
+/** InjectedBug names ("none", "freelist_leak", "rename_alias");
+ *  false on an unknown name. */
+const char *injectedBugName(InjectedBug bug);
+bool injectedBugFromName(const std::string &name, InjectedBug &out);
 
 } // namespace nvmr
 

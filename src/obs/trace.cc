@@ -1,8 +1,5 @@
 #include "obs/trace.hh"
 
-#include <cstring>
-#include <istream>
-#include <iterator>
 #include <ostream>
 
 #include "arch/arch.hh"
@@ -108,8 +105,6 @@ trackOf(EventKind kind)
 
 constexpr char kBinaryMagic[4] = {'N', 'V', 'T', 'R'};
 constexpr uint64_t kBinaryVersion = 1;
-/** One record: cycle, active, kind, a0, a1. */
-constexpr size_t kBinaryRecordBytes = 5 * 8;
 
 } // namespace
 
@@ -233,39 +228,6 @@ TraceBuffer::writeBinary(std::ostream &os) const
         w.u64(ev.a1);
     }
     os.write(w.data().data(), static_cast<std::streamsize>(w.size()));
-}
-
-std::vector<TraceEvent>
-TraceBuffer::readBinary(std::istream &is, uint64_t *dropped_out)
-{
-    const std::string bytes{std::istreambuf_iterator<char>(is),
-                            std::istreambuf_iterator<char>()};
-    ByteReader r(bytes);
-    char magic[4];
-    r.bytes(magic, 4);
-    fatal_if(!r.ok() || std::memcmp(magic, kBinaryMagic, 4) != 0,
-             "not an NVTR trace file");
-    fatal_if(r.u64() != kBinaryVersion, "unsupported trace version");
-    uint64_t count = r.u64();
-    uint64_t dropped = r.u64();
-    fatal_if(!r.ok(), "truncated trace header");
-    // The record count is checked against the bytes that follow
-    // before anything is allocated for it.
-    std::vector<TraceEvent> out(r.count(count, kBinaryRecordBytes));
-    fatal_if(!r.ok(), "truncated trace records: ", r.error());
-    for (TraceEvent &ev : out) {
-        ev.cycle = r.u64();
-        ev.active = r.u64();
-        uint64_t kind = r.u64();
-        fatal_if(kind >= kNumEventKinds, "bad event kind in trace");
-        ev.kind = static_cast<EventKind>(kind);
-        ev.a0 = r.u64();
-        ev.a1 = r.u64();
-    }
-    fatal_if(!r.atEnd(), "trailing bytes after the trace records");
-    if (dropped_out)
-        *dropped_out = dropped;
-    return out;
 }
 
 // ----------------------------------------------------------------------

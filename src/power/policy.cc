@@ -5,18 +5,6 @@
 namespace nvmr
 {
 
-const char *
-policyKindName(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::Jit: return "jit";
-      case PolicyKind::Watchdog: return "watchdog";
-      case PolicyKind::Spendthrift: return "spendthrift";
-      case PolicyKind::None: return "none";
-      default: return "<bad>";
-    }
-}
-
 bool
 JitPolicy::shouldBackup(const PolicyContext &ctx)
 {

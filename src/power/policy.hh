@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "common/names.hh"
 #include "common/types.hh"
 #include "power/capacitor.hh"
 #include "power/spendthrift.hh"
@@ -199,7 +200,26 @@ enum class PolicyKind
     None,
 };
 
-const char *policyKindName(PolicyKind kind);
+/** Every policy name, in the order "valid: ..." lists print them. */
+inline constexpr KindName<PolicyKind> kPolicyNames[] = {
+    {PolicyKind::Jit, "jit"},
+    {PolicyKind::Watchdog, "watchdog"},
+    {PolicyKind::Spendthrift, "spendthrift"},
+    {PolicyKind::None, "none"},
+};
+
+inline const char *
+policyKindName(PolicyKind kind)
+{
+    return nameOf(kPolicyNames, kind);
+}
+
+/** False on an unknown name. */
+inline bool
+policyKindFromName(const std::string &name, PolicyKind &out)
+{
+    return kindOf(kPolicyNames, name, out);
+}
 
 /** Policy factory parameters. */
 struct PolicySpec

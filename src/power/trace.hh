@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hh"
 #include "common/types.hh"
 
 namespace nvmr
@@ -25,6 +26,27 @@ enum class TraceKind
     Solar, ///< slowly varying level with cloud dips
     Wind,  ///< bounded random walk
 };
+
+/** Every trace kind name, in the order "valid: ..." lists print
+ *  them. */
+inline constexpr KindName<TraceKind> kTraceNames[] = {
+    {TraceKind::Rf, "rf"},
+    {TraceKind::Solar, "solar"},
+    {TraceKind::Wind, "wind"},
+};
+
+inline const char *
+traceKindName(TraceKind kind)
+{
+    return nameOf(kTraceNames, kind);
+}
+
+/** False on an unknown name. */
+inline bool
+traceKindFromName(const std::string &name, TraceKind &out)
+{
+    return kindOf(kTraceNames, name, out);
+}
 
 /** A harvested-power trace, in milliwatts, sampled at 1 kHz. */
 class HarvestTrace

@@ -1,6 +1,7 @@
 #include "serve/runner.hh"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "cpu/decoded.hh"
 #include "isa/assembler.hh"
 #include "obs/manifest.hh"
+#include "serve/detail.hh"
 #include "sim/experiment.hh"
 #include "sim/randprog.hh"
 #include "workloads/workloads.hh"
@@ -21,14 +23,8 @@
 namespace nvmr::serve
 {
 
-namespace
+namespace detail
 {
-
-bool
-cancelSet(const std::atomic<bool> *cancel)
-{
-    return cancel && cancel->load(std::memory_order_relaxed);
-}
 
 campaign::Options
 campaignOptions(const JobSpec &job, const JobRunOptions &opts)
@@ -42,7 +38,6 @@ campaignOptions(const JobSpec &job, const JobRunOptions &opts)
     return copts;
 }
 
-/** Record how the campaign ended in the run's outcome. */
 void
 endCampaign(CampaignRun &run, const campaign::Campaign &cam,
             const JobRunOptions &opts)
@@ -57,7 +52,35 @@ endCampaign(CampaignRun &run, const campaign::Campaign &cam,
     o.journalDegraded = cam.journalDegraded();
 }
 
-} // namespace
+void
+warnQuarantined(const campaign::Campaign &cam)
+{
+    for (const auto &q : cam.quarantined())
+        warn("quarantined ", q.stage, "/", q.index, " after ",
+             q.attempts, " attempt(s): ", q.reason);
+}
+
+std::string
+format(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    va_list again;
+    va_copy(again, ap);
+    int n = std::vsnprintf(nullptr, 0, fmt, ap);
+    va_end(ap);
+    std::string out(n > 0 ? static_cast<size_t>(n) : 0, '\0');
+    if (n > 0)
+        std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    va_end(again);
+    return out;
+}
+
+} // namespace detail
+
+using detail::campaignOptions;
+using detail::cancelSet;
+using detail::endCampaign;
 
 CampaignRun
 runSweepCampaign(const JobSpec &job, const std::string &tool,
@@ -218,15 +241,10 @@ CampaignRun
 runFuzzCampaign(const JobSpec &job, const std::string &tool,
                 const JobRunOptions &opts, const LineSink &sink)
 {
-    CampaignRun run(tool);
+    CampaignRun run(tool, sink);
     const FuzzParams &fp = job.fuzz;
     campaign::Campaign cam(tool, job.configSpec(),
                            campaignOptions(job, opts));
-    auto emit = [&](const std::string &line) {
-        run.text += line;
-        if (sink)
-            sink(line);
-    };
 
     // Fan (program, case) pairs across the engine in chunks of 10
     // programs. Workers only simulate; this thread scans each chunk's
@@ -326,9 +344,10 @@ runFuzzCampaign(const JobSpec &job, const std::string &tool,
                 // interesting ones are the repros.
                 const Pair &pr = pairs[k];
                 run.manifest.addRun(outs[k].run);
-                emit(renderFuzzFailure(outs[k], pr.seed, pr.caseIdx,
-                                       fp.faults, fp.oracle));
-                run.divergence = std::move(outs[k]);
+                run.emit(renderFuzzFailure(outs[k], pr.seed, pr.caseIdx,
+                                           fp.faults, fp.oracle));
+                if (fp.oracle)
+                    run.failingCase = std::move(outs[k].cc);
                 diverged = true;
                 break;
             }
@@ -336,8 +355,8 @@ runFuzzCampaign(const JobSpec &job, const std::string &tool,
         }
         uint64_t done = i + chunk;
         if (!diverged && done % 10 == 0 && !cam.interrupted())
-            emit(std::to_string(done) + " programs, " +
-                 std::to_string(runs) + " runs, all consistent\n");
+            run.emit(std::to_string(done) + " programs, " +
+                     std::to_string(runs) + " runs, all consistent\n");
     }
     progress.finish();
 
@@ -355,17 +374,15 @@ runFuzzCampaign(const JobSpec &job, const std::string &tool,
         // fired; resumes reproduce it (failures are never journaled).
         run.outcome.phase = JobPhase::Complete;
     } else if (run.outcome.phase == JobPhase::Interrupted) {
-        emit("interrupted: " + std::to_string(runs) +
-             " clean runs checkpointed\n");
+        run.emit("interrupted: " + std::to_string(runs) +
+                 " clean runs checkpointed\n");
         result = "interrupted";
     } else {
-        for (const auto &q : cam.quarantined())
-            warn("quarantined ", q.stage, "/", q.index, " after ",
-                 q.attempts, " attempt(s): ", q.reason);
+        detail::warnQuarantined(cam);
         if (!cam.quarantined().empty())
             result = "quarantined";
-        emit("fuzzing done: " + std::to_string(runs) +
-             " runs, no divergence\n");
+        run.emit("fuzzing done: " + std::to_string(runs) +
+                 " runs, no divergence\n");
     }
     run.rendered = true;
 
@@ -402,10 +419,16 @@ JobOutcome
 runJob(const JobSpec &job, const JobRunOptions &opts,
        ProgramCache &programs)
 {
-    CampaignRun run =
-        job.type == JobType::Fuzz
-            ? runFuzzCampaign(job, "nvmr_serve", opts)
-            : runSweepCampaign(job, "nvmr_serve", opts, programs);
+    const std::string tool = "nvmr_serve";
+    CampaignRun run = [&] {
+        switch (job.type) {
+          case JobType::Fuzz: return runFuzzCampaign(job, tool, opts);
+          case JobType::Crashtest:
+            return runCrashtestCampaign(job, tool, opts, programs);
+          case JobType::Diff: return runDiffCampaign(job, tool, opts);
+          default: return runSweepCampaign(job, tool, opts, programs);
+        }
+    }();
     if (!run.rendered)
         return run.outcome;
 
@@ -413,7 +436,7 @@ runJob(const JobSpec &job, const JobRunOptions &opts,
     // result, never a lost verdict.
     std::string base = opts.outDir + "/" + job.name;
     std::string path =
-        base + (job.type == JobType::Fuzz ? ".out" : ".csv");
+        base + (job.type == JobType::Sweep ? ".csv" : ".out");
     std::string err;
     bool written = atomicWriteFile(path, run.text, &err);
     if (!written)

@@ -1,16 +1,20 @@
 /**
  * @file
- * The one implementation of the sweep and fuzz campaigns. Each job
- * kind is a function over a JobSpec (serve/job.hh) that runs the
- * cell grid through the crash-safe campaign layer
- * (campaign/campaign.hh) and returns the rendered artifacts: the
- * sweep CSV or the fuzz log, plus an `nvmr-run-manifest-v1`
- * manifest. `nvmr_sweep` and `nvmr_fuzz` parse their argv into a
- * JobSpec and print the result; nvmr_serve calls runJob, which lands
- * the same artifacts in `<out>/<job>.{csv,out,stats.json}`. Outputs
- * are written atomically (common/fsutil.hh) AFTER the campaign
- * finishes, and the per-job journal is fsync'd per cell, so a
- * SIGKILL at any point resumes to byte-identical outputs.
+ * The one implementation of each campaign kind: sweep, fuzz,
+ * crashtest and diff. Each is a function over a JobSpec
+ * (serve/job.hh) that runs the job's cells through the crash-safe
+ * campaign layer (campaign/campaign.hh) and returns the rendered
+ * artifacts: the sweep CSV or the text log of the other kinds, plus
+ * an `nvmr-run-manifest-v1` manifest. The text-log kinds also hand
+ * each line to an optional LineSink as it is rendered. A job-level
+ * problem (a corrupt journal payload, a golden run that does not
+ * halt) is a failReason, never a fatal(). `nvmr_sweep`,
+ * `nvmr_fuzz`, `nvmr_crashtest` and `nvmr_diff` parse their argv
+ * into a JobSpec and print the result; nvmr_serve calls runJob,
+ * which lands the same artifacts in `<out>/<job>.{csv,out,stats.json}`.
+ * Outputs are written atomically (common/fsutil.hh) AFTER the
+ * campaign finishes, and the per-job journal is fsync'd per cell, so
+ * a SIGKILL at any point resumes to byte-identical outputs.
  *
  * Programs are assembled through a shared cache: one decoded image
  * set serves every job in the process, and assembly stays on the
@@ -23,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -96,10 +101,24 @@ struct JobRunOptions
     const std::atomic<bool> *cancel = nullptr;
 };
 
+/** Receives each log line as it is rendered. */
+using LineSink = std::function<void(const std::string &)>;
+
 /** One campaign's rendered artifacts, before anything is written. */
 struct CampaignRun
 {
-    explicit CampaignRun(const std::string &tool) : manifest(tool) {}
+    explicit CampaignRun(const std::string &tool, LineSink sink_ = nullptr)
+        : manifest(tool), sink(std::move(sink_))
+    {}
+
+    /** Append one log line to `text` and hand it to the sink. */
+    void
+    emit(const std::string &line)
+    {
+        text += line;
+        if (sink)
+            sink(line);
+    }
 
     /** resultCode is Campaign::exitCode of the verdict: output I/O
      *  failures are the caller's to fold in. */
@@ -109,15 +128,15 @@ struct CampaignRun
      *  or a journal payload that does not decode (failReason). */
     bool rendered = false;
 
-    std::string text;         ///< sweep CSV / fuzz log
+    std::string text;         ///< sweep CSV / text log
     ManifestWriter manifest;  ///< runs, config and campaign extras
 
-    /** Fuzz: the failing case when failReason is "divergence". */
-    FuzzOutcome divergence;
-};
+    /** The checked case that failed, for a `.repro` file: a diff
+     *  failure, or an oracle-mode fuzz divergence. */
+    std::optional<CheckCase> failingCase;
 
-/** Receives each fuzz log line as it is rendered. */
-using LineSink = std::function<void(const std::string &)>;
+    LineSink sink; ///< may be null
+};
 
 /**
  * Run a sweep job's grid. `tool` names the campaign in its journal
@@ -137,6 +156,33 @@ CampaignRun runSweepCampaign(const JobSpec &job, const std::string &tool,
  * it is rendered.
  */
 CampaignRun runFuzzCampaign(const JobSpec &job, const std::string &tool,
+                            const JobRunOptions &opts,
+                            const LineSink &sink = nullptr);
+
+/**
+ * Run a crashtest job: one census stage (a cell per workload x arch)
+ * that records every backup's persist window and captures the
+ * snapshots the crash points fork from, then one points stage that
+ * crashes a run at every explored persist boundary and sampled cycle
+ * and requires it to recover to the golden final state. Point
+ * failures are findings: they are journaled and reported, and the
+ * campaign goes on. Verification (--verify-fork) and every report
+ * line follow on the calling thread, in (workload, arch) order.
+ */
+CampaignRun runCrashtestCampaign(const JobSpec &job,
+                                 const std::string &tool,
+                                 const JobRunOptions &opts,
+                                 ProgramCache &programs,
+                                 const LineSink &sink = nullptr);
+
+/**
+ * Run a diff job: per architecture and base platform, a census of
+ * where backups commit, then adversarial crash schedules aimed at it,
+ * each run under the lockstep invariant checker and diffed against
+ * the golden oracle. Stops at the first failure, whose case rides in
+ * CampaignRun::failingCase.
+ */
+CampaignRun runDiffCampaign(const JobSpec &job, const std::string &tool,
                             const JobRunOptions &opts,
                             const LineSink &sink = nullptr);
 

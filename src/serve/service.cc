@@ -89,7 +89,9 @@ namespace
  * wall-clock deadline (already doubled for the attempt by the
  * caller) and, once a drain signal is pending, the grace budget --
  * either expiring sets the shared cancel flag, which the simulator
- * polls at low cadence (RunOptions::cancel).
+ * polls at low cadence (RunOptions::cancel). Arming the grace logs
+ * one stderr line, so an operator (or a test) can see the first
+ * signal was handled before sending a second.
  */
 class DeadlineMonitor
 {
@@ -145,10 +147,14 @@ class DeadlineMonitor
                 cancel.store(true, std::memory_order_relaxed);
             }
             if (campaign::interruptRequested()) {
-                if (!graceEnd)
+                if (!graceEnd) {
                     graceEnd =
                         now + std::chrono::milliseconds(graceMs);
-                else if (now >= *graceEnd)
+                    // warn, not inform: the drain must show in a
+                    // quiet log too (a second signal force-exits).
+                    warn("serve: drain requested; in-flight job has ",
+                         graceMs, " ms grace");
+                } else if (now >= *graceEnd)
                     cancel.store(true, std::memory_order_relaxed);
             }
         }

@@ -3,8 +3,9 @@
  * The nvmr_serve supervisor: a long-running job-queue service that
  * watches a spool directory for `nvmr-job-v1` files, admits them
  * under backpressure limits, and runs each through the crash-safe
- * campaign layer on the shared warm worker pool -- sweep and fuzz
- * campaigns in one process with one decoded workload image set.
+ * campaign layer on the shared warm worker pool -- sweep, fuzz,
+ * crashtest and diff campaigns in one process with one decoded
+ * workload image set.
  *
  * Robustness contract (docs/operations.md "Running nvmr_serve"):
  *

@@ -8,7 +8,9 @@
 #define NVMR_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 
+#include "common/names.hh"
 #include "mem/cache.hh"
 #include "power/energy.hh"
 
@@ -26,7 +28,29 @@ enum class ArchKind
     Hoop,  ///< simplified log-based HOOP (Section 6.2)
 };
 
-const char *archKindName(ArchKind kind);
+/** Every architecture name, in the order "valid: ..." lists print
+ *  them (namesOf). */
+inline constexpr KindName<ArchKind> kArchNames[] = {
+    {ArchKind::Ideal, "ideal"},
+    {ArchKind::Clank, "clank"},
+    {ArchKind::ClankOriginal, "clank_original"},
+    {ArchKind::Task, "task"},
+    {ArchKind::Nvmr, "nvmr"},
+    {ArchKind::Hoop, "hoop"},
+};
+
+inline const char *
+archKindName(ArchKind kind)
+{
+    return nameOf(kArchNames, kind);
+}
+
+/** False on an unknown name. */
+inline bool
+archKindFromName(const std::string &name, ArchKind &out)
+{
+    return kindOf(kArchNames, name, out);
+}
 
 /**
  * Deliberately seeded renaming bugs (mutation hooks). The checker

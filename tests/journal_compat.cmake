@@ -1,13 +1,21 @@
-# Journal compatibility for the sweep and fuzz campaigns: each
-# fixture under data/ is a journal written by an earlier build of the
-# tool, with the command line below plus `--journal FILE`:
+# Journal compatibility for the sweep, fuzz, crashtest and diff
+# campaigns: each fixture under data/ is a journal written by an
+# earlier build of the tool -- the crashtest and diff ones by the
+# last build whose tools still held their own campaign code -- with
+# the command line below plus `--journal FILE`:
 #
-#   nvmr_sweep_hist.jrn   nvmr_sweep --workloads hist
-#                         --archs clank,nvmr --policies jit
-#                         --caps 0.1,0.0075 --traces 1
-#                         --watchdog-cycles 1000000000
-#   nvmr_fuzz_faults.jrn  nvmr_fuzz --faults 20 3
-#                         --watchdog-cycles 1000000000
+#   nvmr_sweep_hist.jrn       nvmr_sweep --workloads hist
+#                             --archs clank,nvmr --policies jit
+#                             --caps 0.1,0.0075 --traces 1
+#                             --watchdog-cycles 1000000000
+#   nvmr_fuzz_faults.jrn      nvmr_fuzz --faults 20 3
+#                             --watchdog-cycles 1000000000
+#   nvmr_crashtest_hist.jrn   nvmr_crashtest -w hist -a nvmr,hoop
+#                             --max-backups 2 --stride 4
+#                             --cycle-samples 2
+#                             --watchdog-cycles 1000000000
+#   nvmr_diff_smoke.jrn       nvmr_diff --smoke
+#                             --watchdog-cycles 1000000000
 #
 # Resuming it with the same command line must be accepted (the
 # config spec, and so its hash, is unchanged), must serve every cell
@@ -15,10 +23,10 @@
 # journal stays byte-identical), and must print exactly what a fresh
 # run prints. Invoked by the `journal-compat` ctest:
 #
-#   cmake -DSWEEP=... -DFUZZ=... -DDATA=... -DWORKDIR=...
-#         -P journal_compat.cmake
+#   cmake -DSWEEP=... -DFUZZ=... -DCRASHTEST=... -DDIFF=... -DDATA=...
+#         -DWORKDIR=... -P journal_compat.cmake
 
-foreach(var SWEEP FUZZ DATA WORKDIR)
+foreach(var SWEEP FUZZ CRASHTEST DIFF DATA WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
     endif()
@@ -69,6 +77,12 @@ check_resume(nvmr_sweep_hist "${SWEEP}"
              --watchdog-cycles 1000000000)
 check_resume(nvmr_fuzz_faults "${FUZZ}"
              --faults 20 3 --watchdog-cycles 1000000000)
+check_resume(nvmr_crashtest_hist "${CRASHTEST}"
+             -w hist -a nvmr,hoop --max-backups 2 --stride 4
+             --cycle-samples 2 --watchdog-cycles 1000000000)
+check_resume(nvmr_diff_smoke "${DIFF}"
+             --smoke --watchdog-cycles 1000000000)
 
-message(STATUS "journal-compat: sweep and fuzz journals resume "
-               "every cell, byte-identical to fresh runs")
+message(STATUS "journal-compat: sweep, fuzz, crashtest and diff "
+               "journals resume every cell, byte-identical to fresh "
+               "runs")

@@ -1,14 +1,15 @@
 # Service acceptance (docs/operations.md "Running nvmr_serve"):
 #
-#  Phase A -- a healthy spool (one sweep job, one fuzz job) drains
-#  with --once and exit 0, leaves complete per-job outputs and a
-#  final nvmr-serve-v1 snapshot behind, and nvmr_report renders the
-#  snapshot (exit 2 on any schema violation, so exit 0 is the real
-#  assertion). The service and the CLI tools run one shared sweep
-#  and fuzz campaign implementation (serve/runner.cc), so each job
-#  output must also be byte-identical to the stdout of the CLI tool
-#  run on the same job: nvmr_sweep for sweep1.csv, nvmr_fuzz for
-#  fuzz1.out.
+#  Phase A -- a healthy spool (one sweep, fuzz, crashtest and diff
+#  job each) drains with --once and exit 0, leaves complete per-job
+#  outputs and a final nvmr-serve-v1 snapshot behind, and nvmr_report
+#  renders the snapshot (exit 2 on any schema violation, so exit 0 is
+#  the real assertion). The service and the CLI tools run one shared
+#  implementation of each campaign kind (serve/runner.hh), so each
+#  job output must also be byte-identical to the stdout of the CLI
+#  tool run on the same job: nvmr_sweep for sweep1.csv, nvmr_fuzz
+#  for fuzz1.out, nvmr_crashtest for crash1.out and nvmr_diff for
+#  diff1.out.
 #
 #  Phase B -- a degraded spool (a poison `spin` job with a wall-clock
 #  deadline, an unparseable job file, and the same healthy sweep job)
@@ -18,10 +19,10 @@
 #
 # Invoked by the `serve-smoke` ctest:
 #
-#   cmake -DSERVE=... -DREPORT=... -DSWEEP=... -DFUZZ=... -DWORKDIR=...
-#         -P serve_smoke.cmake
+#   cmake -DSERVE=... -DREPORT=... -DSWEEP=... -DFUZZ=... \
+#         -DCRASHTEST=... -DDIFF=... -DWORKDIR=... -P serve_smoke.cmake
 
-foreach(var SERVE REPORT SWEEP FUZZ WORKDIR)
+foreach(var SERVE REPORT SWEEP FUZZ CRASHTEST DIFF WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
     endif()
@@ -48,6 +49,21 @@ file(WRITE "${WORKDIR}/spool_a/fuzz1.job" "{
   \"base_seed\": 3,
   \"faults\": true
 }")
+file(WRITE "${WORKDIR}/spool_a/crash1.job" "{
+  \"schema\": \"nvmr-job-v1\",
+  \"type\": \"crashtest\",
+  \"workloads\": [\"hist\"],
+  \"archs\": [\"nvmr\", \"hoop\"],
+  \"max_backups\": 2,
+  \"stride\": 4,
+  \"cycle_samples\": 2,
+  \"verbose\": true
+}")
+file(WRITE "${WORKDIR}/spool_a/diff1.job" "{
+  \"schema\": \"nvmr-job-v1\",
+  \"type\": \"diff\",
+  \"smoke\": true
+}")
 
 execute_process(
     COMMAND "${SERVE}" --spool "${WORKDIR}/spool_a" --once --jobs 2
@@ -65,6 +81,10 @@ foreach(artifact
         "${state_a}/out/sweep1.stats.json"
         "${state_a}/out/fuzz1.out"
         "${state_a}/out/fuzz1.stats.json"
+        "${state_a}/out/crash1.out"
+        "${state_a}/out/crash1.stats.json"
+        "${state_a}/out/diff1.out"
+        "${state_a}/out/diff1.stats.json"
         "${state_a}/serve.jrn"
         "${state_a}/serve.json")
     if(NOT EXISTS "${artifact}")
@@ -94,7 +114,25 @@ execute_process(
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "nvmr_fuzz for the fuzz job exited with ${rc}")
 endif()
-foreach(pair "sweep1.csv;cli_sweep1.csv" "fuzz1.out;cli_fuzz1.out")
+execute_process(
+    COMMAND "${CRASHTEST}" -w hist -a nvmr,hoop --max-backups 2
+            --stride 4 --cycle-samples 2 -v
+    OUTPUT_FILE "${WORKDIR}/cli_crash1.out"
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "nvmr_crashtest for the crashtest job exited with ${rc}")
+endif()
+execute_process(
+    COMMAND "${DIFF}" --smoke
+    WORKING_DIRECTORY "${WORKDIR}"
+    OUTPUT_FILE "${WORKDIR}/cli_diff1.out"
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "nvmr_diff for the diff job exited with ${rc}")
+endif()
+foreach(pair "sweep1.csv;cli_sweep1.csv" "fuzz1.out;cli_fuzz1.out"
+        "crash1.out;cli_crash1.out" "diff1.out;cli_diff1.out")
     list(GET pair 0 served)
     list(GET pair 1 cli)
     execute_process(
@@ -120,8 +158,8 @@ foreach(needle
         "\"schema\":\"nvmr-serve-v1\""
         "\"tool\":\"nvmr_serve\""
         "\"final\":true"
-        "\"admitted\":2"
-        "\"done\":2"
+        "\"admitted\":4"
+        "\"done\":4"
         "\"failed\":0"
         "\"quarantined\":0")
     string(FIND "${snapshot}" "${needle}" pos)

@@ -5,7 +5,8 @@
  * every on-disk encoder (journal header and frames, RunResults,
  * census, samples, quarantine payload, service job record, NVTR
  * trace), and a malformed-input sweep over every strict prefix and
- * single-byte flip of each encoding.
+ * single-byte flip of each encoding that is read back (NVTR traces
+ * are only written).
  */
 
 #include <gtest/gtest.h>
@@ -463,31 +464,6 @@ TEST(CodecMalformed, EveryJournalByteFlipIsCaught)
         EXPECT_TRUE(!got.usable || (got.truncated && got.records < 2))
             << "byte " << i << " ^ " << mask;
     });
-}
-
-TEST(CodecMalformed, EveryStrictPrefixOfATraceIsAUsageError)
-{
-    const std::string valid = goldenTrace();
-    {
-        std::istringstream is(valid);
-        uint64_t dropped = 0;
-        EXPECT_EQ(TraceBuffer::readBinary(is, &dropped).size(), 2u);
-        EXPECT_EQ(dropped, 1u);
-    }
-    for (size_t n = 0; n < valid.size(); ++n)
-        EXPECT_EXIT(
-            {
-                std::istringstream is(valid.substr(0, n));
-                TraceBuffer::readBinary(is);
-            },
-            ::testing::ExitedWithCode(2), "")
-            << "prefix of " << n << " bytes";
-    EXPECT_EXIT(
-        {
-            std::istringstream is(valid + '\0');
-            TraceBuffer::readBinary(is);
-        },
-        ::testing::ExitedWithCode(2), "trailing bytes");
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <sstream>
 
+#include "common/bytes.hh"
 #include "isa/assembler.hh"
 #include "obs/json.hh"
 #include "obs/trace.hh"
@@ -133,6 +134,40 @@ TEST(ChromeExport, EmptyBufferStillValid)
     EXPECT_TRUE(jsonValidate(buf.toChromeJson(), &err)) << err;
 }
 
+/** An NVTR export read back field by field: magic, version, record
+ *  count, dropped count, then cycle/active/kind/a0/a1 per event. */
+struct NvtrFile
+{
+    uint64_t dropped = 0;
+    std::vector<TraceEvent> events;
+};
+
+NvtrFile
+exportOf(const TraceBuffer &buf)
+{
+    std::ostringstream os;
+    buf.writeBinary(os);
+    const std::string bytes = os.str();
+    ByteReader r(bytes);
+    char magic[4] = {};
+    r.bytes(magic, 4);
+    EXPECT_EQ(std::string(magic, 4), "NVTR");
+    EXPECT_EQ(r.u64(), 1u);
+    NvtrFile out;
+    uint64_t count = r.u64();
+    out.dropped = r.u64();
+    out.events.resize(r.count(count, 5 * 8));
+    for (TraceEvent &ev : out.events) {
+        ev.cycle = r.u64();
+        ev.active = r.u64();
+        ev.kind = static_cast<EventKind>(r.u64());
+        ev.a0 = r.u64();
+        ev.a1 = r.u64();
+    }
+    EXPECT_TRUE(r.ok() && r.atEnd()) << r.error();
+    return out;
+}
+
 TEST(BinaryExport, RoundTripsExactly)
 {
     TraceBuffer buf(16);
@@ -140,9 +175,7 @@ TEST(BinaryExport, RoundTripsExactly)
     buf.recordAt(123456789012ull, 42, EventKind::Rename, 0x2000,
                  0x180400);
     buf.recordAt(~0ull, ~0ull, EventKind::FaultCrash, 17, 99);
-    std::stringstream ss;
-    buf.writeBinary(ss);
-    auto back = TraceBuffer::readBinary(ss);
+    auto back = exportOf(buf).events;
     auto orig = buf.events();
     ASSERT_EQ(back.size(), orig.size());
     for (size_t i = 0; i < back.size(); ++i) {
@@ -156,25 +189,21 @@ TEST(BinaryExport, RoundTripsExactly)
 
 TEST(BinaryExport, WrappedRingRoundTripsAndPreservesDroppedCount)
 {
-    // Overflow an 8-slot ring by 2.5x, then round-trip through the
-    // binary format: the surviving (newest) events and the dropped
-    // count recorded in the header must both come back exactly.
+    // Overflow an 8-slot ring by 2.5x: the export must hold the
+    // surviving (newest) events and the dropped count in its header.
     TraceBuffer buf(8);
     for (uint64_t i = 0; i < 20; ++i)
         buf.recordAt(i, i, EventKind::CacheHit, i, i * 2);
     ASSERT_EQ(buf.dropped(), 12u);
     ASSERT_EQ(buf.totalRecorded(), 20u);
 
-    std::stringstream ss;
-    buf.writeBinary(ss);
-    uint64_t dropped = 0;
-    auto back = TraceBuffer::readBinary(ss, &dropped);
-    EXPECT_EQ(dropped, 12u);
-    ASSERT_EQ(back.size(), 8u);
-    for (size_t i = 0; i < back.size(); ++i) {
-        EXPECT_EQ(back[i].a0, 12 + i) << "slot " << i;
-        EXPECT_EQ(back[i].a1, (12 + i) * 2) << "slot " << i;
-        EXPECT_EQ(back[i].kind, EventKind::CacheHit);
+    NvtrFile back = exportOf(buf);
+    EXPECT_EQ(back.dropped, 12u);
+    ASSERT_EQ(back.events.size(), 8u);
+    for (size_t i = 0; i < back.events.size(); ++i) {
+        EXPECT_EQ(back.events[i].a0, 12 + i) << "slot " << i;
+        EXPECT_EQ(back.events[i].a1, (12 + i) * 2) << "slot " << i;
+        EXPECT_EQ(back.events[i].kind, EventKind::CacheHit);
     }
 }
 
@@ -182,31 +211,9 @@ TEST(BinaryExport, UnwrappedRingReportsZeroDropped)
 {
     TraceBuffer buf(16);
     buf.recordAt(1, 1, EventKind::PowerOn);
-    std::stringstream ss;
-    buf.writeBinary(ss);
-    uint64_t dropped = 77; // must be overwritten, not left stale
-    auto back = TraceBuffer::readBinary(ss, &dropped);
-    EXPECT_EQ(dropped, 0u);
-    EXPECT_EQ(back.size(), 1u);
-}
-
-TEST(BinaryExport, HugeRecordCountIsAUsageError)
-{
-    // A 28-byte file whose header claims 2^40 records: the count is
-    // checked against the bytes that follow (none) before anything is
-    // allocated, and the reader exits with the usage code.
-    std::string file("NVTR", 4);
-    for (uint64_t v : {uint64_t(1), uint64_t(1) << 40, uint64_t(0)})
-        file.append(reinterpret_cast<const char *>(&v), sizeof v);
-    ASSERT_EQ(file.size(), 28u);
-    EXPECT_EXIT(
-        {
-            std::istringstream is(file);
-            TraceBuffer::readBinary(is);
-        },
-        ::testing::ExitedWithCode(2),
-        "truncated trace records: need 1099511627776 x 40 bytes, "
-        "have 0");
+    NvtrFile back = exportOf(buf);
+    EXPECT_EQ(back.dropped, 0u);
+    EXPECT_EQ(back.events.size(), 1u);
 }
 
 TEST(TextSink, FormatsNarrativeEventsLikeTheLegacyPrinter)

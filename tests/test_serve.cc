@@ -223,6 +223,113 @@ TEST(JobParse, RejectsMalformedJobs)
     EXPECT_NE(error.find("traces"), std::string::npos) << error;
 }
 
+TEST(JobParse, CrashtestJobKeepsTheToolsConfigSpec)
+{
+    serve::JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(serve::parseJobText(
+        "{\"schema\":\"nvmr-job-v1\",\"type\":\"crashtest\","
+        "\"workloads\":[\"hist\"],\"archs\":[\"nvmr\",\"hoop\"],"
+        "\"max_backups\":2,\"stride\":4,\"cycle_samples\":2,"
+        "\"verify_fork\":3,\"verbose\":true,"
+        "\"watchdog_cycles\":1000000000}",
+        "ct", spec, error))
+        << error;
+    EXPECT_EQ(spec.type, serve::JobType::Crashtest);
+    EXPECT_EQ(spec.crashtest.verifyFork, 3u);
+    EXPECT_TRUE(spec.crashtest.verbose);
+    EXPECT_EQ(spec.cellCount(), 2u); // one census per combination
+    // Byte for byte what nvmr_crashtest has always hashed, so its
+    // journals resume (journal-compat pins a real one).
+    EXPECT_EQ(spec.configSpec(),
+              "crashtest|stages=census,points|workloads=hist|"
+              "archs=nvmr,hoop|max_backups=2|stride=4|cycle_samples=2|"
+              "seed=1|snap_stride=4|watchdog_cycles=1000000000|"
+              "watchdog_retries=2");
+}
+
+TEST(JobParse, DiffJobKeepsTheToolsConfigSpec)
+{
+    serve::JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(serve::parseJobText(
+        "{\"schema\":\"nvmr-job-v1\",\"type\":\"diff\","
+        "\"smoke\":true}",
+        "d", spec, error))
+        << error;
+    EXPECT_EQ(spec.type, serve::JobType::Diff);
+    EXPECT_EQ(spec.configSpec(),
+              "diff|archs=nvmr,clank,clank_original,hoop,task,ideal|"
+              "schedules=1|seed=1|bug=0|smoke=1|watchdog_cycles=0|"
+              "watchdog_retries=2");
+
+    // One architecture; a seeded bug narrows the campaign to nvmr.
+    ASSERT_TRUE(serve::parseJobText(
+        "{\"schema\":\"nvmr-job-v1\",\"type\":\"diff\","
+        "\"arch\":\"hoop\",\"schedules\":20,\"seed\":7}",
+        "d", spec, error))
+        << error;
+    EXPECT_EQ(spec.diff.archs, std::vector<std::string>{"hoop"});
+    EXPECT_EQ(spec.cellCount(), 20u);
+    ASSERT_TRUE(serve::parseJobText(
+        "{\"schema\":\"nvmr-job-v1\",\"type\":\"diff\","
+        "\"arch\":\"hoop\",\"bug\":\"rename_alias\"}",
+        "d", spec, error))
+        << error;
+    EXPECT_EQ(spec.diff.archs, std::vector<std::string>{"nvmr"});
+    EXPECT_EQ(spec.configSpec(),
+              "diff|archs=nvmr|schedules=1000|seed=1|bug=2|smoke=0|"
+              "watchdog_cycles=0|watchdog_retries=2");
+}
+
+TEST(JobParse, RejectsMalformedCrashtestAndDiffJobs)
+{
+    struct Bad
+    {
+        const char *fields; ///< after "schema"
+        const char *needle; ///< expected in the error
+    };
+    const Bad bad[] = {
+        // Unknown keys, including another kind's keys.
+        {"\"type\":\"crashtest\",\"policies\":[\"jit\"]",
+         "unknown key 'policies'"},
+        {"\"type\":\"diff\",\"archs\":[\"nvmr\"]",
+         "unknown key 'archs'"},
+        {"\"type\":\"fuzz\",\"seed\":3", "unknown key 'seed'"},
+        // ideal is refused with the perfect-JIT reason.
+        {"\"type\":\"crashtest\",\"archs\":[\"nvmr\",\"ideal\"]",
+         "perfect-JIT"},
+        {"\"type\":\"crashtest\",\"archs\":[\"nope\"]",
+         "valid: clank, clank_original, task, nvmr, hoop"},
+        {"\"type\":\"crashtest\",\"archs\":[]", "non-empty"},
+        {"\"type\":\"crashtest\",\"workloads\":[\"nope\"]",
+         "unknown workload"},
+        {"\"type\":\"diff\",\"arch\":\"nope\"",
+         "unknown architecture"},
+        {"\"type\":\"diff\",\"bug\":\"nope\"", "key 'bug'"},
+        // Out-of-range counts.
+        {"\"type\":\"crashtest\",\"stride\":0", "stride"},
+        {"\"type\":\"crashtest\",\"snap_stride\":0", "stride"},
+        {"\"type\":\"crashtest\",\"max_backups\":-1",
+         "max_backups"},
+        {"\"type\":\"crashtest\",\"cycle_samples\":1.5",
+         "cycle_samples"},
+        {"\"type\":\"diff\",\"schedules\":0", "schedules"},
+        {"\"type\":\"diff\",\"schedules\":4294967296", "schedules"},
+        {"\"type\":\"diff\",\"smoke\":1", "boolean"},
+        {"\"type\":\"train\"", "type must be"},
+    };
+    for (const Bad &b : bad) {
+        serve::JobSpec spec;
+        std::string error;
+        std::string text = std::string("{\"schema\":\"nvmr-job-v1\",") +
+                           b.fields + "}";
+        EXPECT_FALSE(serve::parseJobText(text, "j", spec, error)) << text;
+        EXPECT_NE(error.find(b.needle), std::string::npos)
+            << text << ": " << error;
+    }
+}
+
 /* ---------------------- Fuzz failure report ---------------------- */
 
 // nvmr_fuzz prints and a served fuzz job logs this one rendering;
@@ -513,6 +620,18 @@ waitForFile(const std::string &path, int timeout_ms)
     return false;
 }
 
+bool
+waitForText(const std::string &path, const std::string &needle,
+            int timeout_ms)
+{
+    for (int i = 0; i < timeout_ms / 20; ++i) {
+        if (readFile(path).find(needle) != std::string::npos)
+            return true;
+        ::usleep(20 * 1000);
+    }
+    return false;
+}
+
 TEST(ServeSignals, SigtermDrainsWithCompleteArtifacts)
 {
     std::string spool = tempDir("serve_sigterm");
@@ -586,7 +705,12 @@ TEST(ServeSignals, SecondSignalForceExits)
         << "poison job never started";
     ::usleep(200 * 1000);
     ASSERT_EQ(::kill(pid, SIGTERM), 0);
-    ::usleep(200 * 1000);
+    // Send the second signal only once the service logged that it
+    // handled the first: two signals in flight at once can merge
+    // into one pending signal (TSan defers asynchronous signals).
+    ASSERT_TRUE(waitForText(spool + "/serve.log", "drain requested",
+                            10000))
+        << "first SIGTERM never started a drain";
     ASSERT_EQ(::kill(pid, SIGTERM), 0);
 
     int status = 0;

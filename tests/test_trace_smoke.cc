@@ -72,9 +72,11 @@ smokeOne(ArchKind arch)
         std::ofstream os(base + ".trace.bin", std::ios::binary);
         buffer.writeBinary(os);
     }
-    std::ifstream is(base + ".trace.bin", std::ios::binary);
-    auto back = TraceBuffer::readBinary(is);
-    EXPECT_EQ(back.size(), buffer.size());
+    // Magic + version + count + dropped, then 5 words per event.
+    std::ifstream is(base + ".trace.bin",
+                     std::ios::binary | std::ios::ate);
+    EXPECT_EQ(static_cast<uint64_t>(is.tellg()),
+              28 + 40 * buffer.size());
     std::remove((base + ".json").c_str());
     std::remove((base + ".trace.bin").c_str());
     return out;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared command-line parsing for the tool drivers: enum-valued
- * arguments are validated the moment they are read, and a bad value
- * dies with the full list of valid choices instead of a bare
- * "unknown" complaint deep into the run.
+ * Shared command-line parsing for the tools: the flags every
+ * campaign tool takes (--jobs, --engine, the journal and watchdog
+ * flags, telemetry), whole-number counts and comma lists. A bad
+ * value dies with fatal (exit 2) the moment it is read.
  */
 
 #ifndef NVMR_TOOLS_CLI_HH
@@ -13,17 +13,18 @@
 #include <cerrno>
 #include <climits>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hh"
+#include "common/exitcodes.hh"
 #include "common/log.hh"
 #include "obs/heartbeat.hh"
 #include "par/par.hh"
-#include "power/policy.hh"
-#include "power/trace.hh"
-#include "sim/config.hh"
+#include "serve/runner.hh"
 #include "sim/engine.hh"
 
 namespace nvmr::cli
@@ -176,6 +177,68 @@ handleTelemetryArg(int argc, char **argv, int &i,
     return false;
 }
 
+/** Split a comma list ("hist,,qsort" -> hist, qsort): empty items
+ *  are dropped. */
+inline std::vector<std::string>
+splitList(const std::string &value)
+{
+    std::vector<std::string> out;
+    size_t start = 0;
+    while (start <= value.size()) {
+        size_t end = value.find(',', start);
+        if (end == std::string::npos)
+            end = value.size();
+        if (end > start)
+            out.push_back(value.substr(start, end - start));
+        start = end + 1;
+    }
+    return out;
+}
+
+/**
+ * Copy the campaign flags into a job and check it with the serve job
+ * rules (serve::checkJob), dying with the first violation before
+ * anything runs. Returns the journal options to run it with.
+ */
+inline serve::JobRunOptions
+checkedJob(serve::JobSpec &job, const campaign::Options &opts)
+{
+    job.watchdogCycles = opts.watchdogCycles;
+    job.watchdogRetries = opts.watchdogRetries;
+    std::string error = serve::checkJob(job);
+    fatal_if(!error.empty(), error);
+    serve::JobRunOptions ropts;
+    ropts.journalPath = opts.journalPath;
+    ropts.resume = opts.resume;
+    return ropts;
+}
+
+/** LineSink that prints each campaign log line as it is rendered. */
+inline void
+printLine(const std::string &line)
+{
+    std::fputs(line.c_str(), stdout);
+    std::fflush(stdout);
+}
+
+/**
+ * A campaign tool's exit code once its output is printed: the run's
+ * verdict, with a failure to write stdout or the --stats-json
+ * manifest (when `stats_json` is set) folded in as degraded.
+ */
+inline int
+finishRun(const serve::CampaignRun &run, const std::string &stats_json)
+{
+    int rc = run.outcome.resultCode;
+    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+        warn("error writing to stdout");
+        rc = rc == kExitOk ? kExitDegraded : rc;
+    }
+    if (!stats_json.empty() && !run.manifest.tryWriteFile(stats_json))
+        rc = rc == kExitOk ? kExitDegraded : rc;
+    return rc;
+}
+
 /** Append the watchdog knobs to a campaign config-spec string (they
  *  shape per-cell results, so a resume must match them; --jobs and
  *  output paths deliberately stay out). */
@@ -186,53 +249,6 @@ appendWatchdogSpec(std::string &spec, const campaign::Options &opts)
     spec += std::to_string(opts.watchdogCycles);
     spec += "|watchdog_retries=";
     spec += std::to_string(opts.watchdogRetries);
-}
-
-inline ArchKind
-parseArchKind(const std::string &name)
-{
-    if (name == "ideal")
-        return ArchKind::Ideal;
-    if (name == "clank")
-        return ArchKind::Clank;
-    if (name == "clank_original")
-        return ArchKind::ClankOriginal;
-    if (name == "task")
-        return ArchKind::Task;
-    if (name == "nvmr")
-        return ArchKind::Nvmr;
-    if (name == "hoop")
-        return ArchKind::Hoop;
-    fatal("unknown architecture '", name,
-          "' (valid: ideal, clank, clank_original, task, nvmr, "
-          "hoop)");
-}
-
-inline PolicyKind
-parsePolicyKind(const std::string &name)
-{
-    if (name == "jit")
-        return PolicyKind::Jit;
-    if (name == "watchdog")
-        return PolicyKind::Watchdog;
-    if (name == "spendthrift")
-        return PolicyKind::Spendthrift;
-    if (name == "none")
-        return PolicyKind::None;
-    fatal("unknown policy '", name,
-          "' (valid: jit, watchdog, spendthrift, none)");
-}
-
-inline TraceKind
-parseTraceKind(const std::string &name)
-{
-    if (name == "rf")
-        return TraceKind::Rf;
-    if (name == "solar")
-        return TraceKind::Solar;
-    if (name == "wind")
-        return TraceKind::Wind;
-    fatal("unknown trace kind '", name, "' (valid: rf, solar, wind)");
 }
 
 } // namespace nvmr::cli

@@ -52,9 +52,9 @@ namespace
 
 /** Save an oracle-mode failure's repro next to the report. */
 void
-saveFailureRepro(const FuzzOutcome &out)
+saveFailureRepro(const CheckCase &c)
 {
-    if (saveRepro("nvmr_fuzz_failure.repro", out.cc))
+    if (saveRepro("nvmr_fuzz_failure.repro", c))
         std::printf("also saved nvmr_fuzz_failure.repro; shrink "
                     "with: nvmr_diff --shrink "
                     "nvmr_fuzz_failure.repro\n");
@@ -111,10 +111,7 @@ main(int argc, char **argv)
     }
     if (one_mode)
         fp.baseSeed = one_seed; // checked against the base-seed bound
-    job.watchdogCycles = copts.watchdogCycles;
-    job.watchdogRetries = copts.watchdogRetries;
-    std::string error = serve::checkJob(job);
-    fatal_if(!error.empty(), error);
+    serve::JobRunOptions ropts = cli::checkedJob(job, copts);
 
     if (one_mode) {
         fatal_if(one_case < 1 || one_case > fuzzCaseCount(),
@@ -135,7 +132,7 @@ main(int argc, char **argv)
                            .c_str(),
                        stdout);
             if (fp.oracle)
-                saveFailureRepro(out);
+                saveFailureRepro(out.cc);
         }
         std::printf(out.ok ? "case clean\n" : "case FAILED\n");
         return out.ok ? kExitOk : kExitMismatch;
@@ -144,24 +141,9 @@ main(int argc, char **argv)
     obs::Telemetry telemetry("nvmr_fuzz", topts,
                              campaign::interruptRequested);
 
-    serve::JobRunOptions ropts;
-    ropts.journalPath = copts.journalPath;
-    ropts.resume = copts.resume;
-    serve::CampaignRun run = serve::runFuzzCampaign(
-        job, "nvmr_fuzz", ropts, [](const std::string &line) {
-            std::fputs(line.c_str(), stdout);
-            std::fflush(stdout);
-        });
-    if (fp.oracle && run.outcome.failReason == "divergence")
-        saveFailureRepro(run.divergence);
-
-    int rc = run.outcome.resultCode;
-    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
-        warn("error writing to stdout");
-        rc = rc == kExitOk ? kExitDegraded : rc;
-    }
-    if (!stats_json_path.empty() &&
-        !run.manifest.tryWriteFile(stats_json_path))
-        rc = rc == kExitOk ? kExitDegraded : rc;
-    return rc;
+    serve::CampaignRun run =
+        serve::runFuzzCampaign(job, "nvmr_fuzz", ropts, cli::printLine);
+    if (run.failingCase)
+        saveFailureRepro(*run.failingCase);
+    return cli::finishRun(run, stats_json_path);
 }

@@ -2,7 +2,8 @@
  * @file
  * Supervised long-running job-queue service: watch a spool directory
  * for `nvmr-job-v1` JSON files and run each through the crash-safe
- * campaign engine -- sweep and fuzz campaigns in one warm process.
+ * campaign engine -- sweep, fuzz, crashtest and diff campaigns in
+ * one warm process.
  * See docs/operations.md "Running nvmr_serve" for the spool format,
  * backpressure knobs, drain semantics and the resume runbook.
  *

@@ -124,15 +124,22 @@ main(int argc, char **argv)
         } else if (a == "-w" || a == "--workload") {
             workload = need(i);
         } else if (a == "-a" || a == "--arch") {
-            arch = cli::parseArchKind(need(i));
+            const char *v = need(i);
+            fatal_if(!archKindFromName(v, arch), "unknown architecture '",
+                     v, "' (valid: ", namesOf(kArchNames), ")");
         } else if (a == "-p" || a == "--policy") {
-            policy_kind = cli::parsePolicyKind(need(i));
+            const char *v = need(i);
+            fatal_if(!policyKindFromName(v, policy_kind),
+                     "unknown policy '", v, "' (valid: ",
+                     namesOf(kPolicyNames), ")");
         } else if (a == "--period") {
             period = std::strtoull(need(i), nullptr, 10);
         } else if (a == "--cap") {
             cap = std::strtod(need(i), nullptr);
         } else if (a == "--trace") {
-            kind = cli::parseTraceKind(need(i));
+            const char *v = need(i);
+            fatal_if(!traceKindFromName(v, kind), "unknown trace kind '",
+                     v, "' (valid: ", namesOf(kTraceNames), ")");
         } else if (a == "--seed") {
             seed = std::strtoull(need(i), nullptr, 10);
         } else if (a == "--mean") {

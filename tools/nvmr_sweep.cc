@@ -29,34 +29,14 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "campaign/sig.hh"
 #include "cli.hh"
-#include "common/exitcodes.hh"
 #include "common/log.hh"
 #include "serve/runner.hh"
 
 using namespace nvmr;
-
-namespace
-{
-
-std::vector<std::string>
-splitList(const std::string &value)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(value);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -90,12 +70,12 @@ main(int argc, char **argv)
             job.sweep.traces = static_cast<int>(std::min<uint64_t>(
                 cli::parseCount("--traces", need(i)), INT_MAX));
         } else if (a == "--archs") {
-            job.sweep.archs = splitList(need(i));
+            job.sweep.archs = cli::splitList(need(i));
         } else if (a == "--policies") {
-            job.sweep.policies = splitList(need(i));
+            job.sweep.policies = cli::splitList(need(i));
         } else if (a == "--caps") {
             job.sweep.caps.clear();
-            for (const std::string &c : splitList(need(i))) {
+            for (const std::string &c : cli::splitList(need(i))) {
                 char *end = nullptr;
                 job.sweep.caps.push_back(std::strtod(c.c_str(), &end));
                 fatal_if(end == c.c_str() || *end,
@@ -103,41 +83,26 @@ main(int argc, char **argv)
                          "'");
             }
         } else if (a == "--workloads") {
-            job.sweep.workloads = splitList(need(i));
+            job.sweep.workloads = cli::splitList(need(i));
         } else if (a == "--stats-json") {
             stats_json_path = need(i);
         } else {
             fatal("unknown argument '", a, "'");
         }
     }
-    job.watchdogCycles = copts.watchdogCycles;
-    job.watchdogRetries = copts.watchdogRetries;
     // Check the whole grid before running anything: a typo in the
     // last arch name should not surface hours into the sweep.
-    std::string error = serve::checkJob(job);
-    fatal_if(!error.empty(), error);
+    serve::JobRunOptions ropts = cli::checkedJob(job, copts);
 
     // Host telemetry (off by default): heartbeat snapshots + span
     // profile go to their own files, never into the CSV or manifest.
     obs::Telemetry telemetry("nvmr_sweep", topts,
                              campaign::interruptRequested);
 
-    serve::JobRunOptions ropts;
-    ropts.journalPath = copts.journalPath;
-    ropts.resume = copts.resume;
     serve::ProgramCache programs;
     serve::CampaignRun run =
         serve::runSweepCampaign(job, "nvmr_sweep", ropts, programs);
     fatal_if(!run.rendered, run.outcome.failReason);
-
-    int rc = run.outcome.resultCode;
     std::fputs(run.text.c_str(), stdout);
-    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
-        warn("error writing CSV to stdout");
-        rc = rc == kExitOk ? kExitDegraded : rc;
-    }
-    if (!stats_json_path.empty() &&
-        !run.manifest.tryWriteFile(stats_json_path))
-        rc = rc == kExitOk ? kExitDegraded : rc;
-    return rc;
+    return cli::finishRun(run, stats_json_path);
 }

@@ -95,16 +95,10 @@ main(int argc, char **argv)
              "[--cap F] [--engine NAME]");
 
     ArchKind arch;
-    if (arch_name == "clank")
-        arch = ArchKind::Clank;
-    else if (arch_name == "nvmr")
-        arch = ArchKind::Nvmr;
-    else if (arch_name == "hoop")
-        arch = ArchKind::Hoop;
-    else if (arch_name == "clank_original")
-        arch = ArchKind::ClankOriginal;
-    else
-        fatal("unknown architecture '", arch_name, "'");
+    fatal_if(!archKindFromName(arch_name, arch) ||
+                 arch == ArchKind::Ideal || arch == ArchKind::Task,
+             "unknown architecture '", arch_name, "' (valid: ",
+             namesOf(kArchNames, {ArchKind::Ideal, ArchKind::Task}), ")");
 
     SystemConfig cfg;
     cfg.capacitorFarads = cap;
